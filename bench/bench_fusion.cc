@@ -115,7 +115,6 @@ RunResult RunOnce(const Workload& w, const Catalog& catalog,
                   int workers, int reps) {
   ThreadPool::SetDefaultThreads(threads);
   PlanExecutor executor(catalog, cluster);
-  executor.set_zero_copy(true);
   executor.set_fusion(fusion);
   executor.set_dist_workers(workers);
   RunResult best;

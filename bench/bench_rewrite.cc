@@ -66,7 +66,6 @@ Result<ExecResult> RunPlan(const ComputeGraph& graph,
                            const ClusterConfig& cluster, int reps) {
   ThreadPool::SetDefaultThreads(4);
   PlanExecutor executor(catalog, cluster);
-  executor.set_zero_copy(true);
   ExecResult best;
   for (int rep = 0; rep < reps; ++rep) {
     std::unordered_map<int, Relation> relations;

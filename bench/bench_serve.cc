@@ -39,10 +39,10 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-/// Loads one of the checked-in example programs from the repo root (same
-/// root discovery the JSON output uses).
+/// Loads one of the checked-in example programs from the repo root;
+/// MATOPT_BENCH_DIR only moves the JSON output.
 bool ReadProgram(const std::string& rel_path, std::string* source) {
-  const std::string path = BenchOutputPath(rel_path);
+  const std::string path = RepoInputPath(rel_path);
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());

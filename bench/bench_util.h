@@ -81,32 +81,43 @@ inline BenchCell RunRules(const ComputeGraph& graph, const Catalog& catalog,
   return cell;
 }
 
+/// The enclosing repo root: the nearest ancestor of the current directory
+/// containing ROADMAP.md, or "" outside a checkout (standalone installs).
+inline std::string RepoRoot() {
+  char cwd[4096];
+  if (::getcwd(cwd, sizeof(cwd)) == nullptr) return "";
+  std::string dir = cwd;
+  while (!dir.empty()) {
+    struct stat st;
+    if (::stat((dir + "/ROADMAP.md").c_str(), &st) == 0) return dir;
+    size_t slash = dir.rfind('/');
+    if (slash == std::string::npos || slash == 0) break;
+    dir.resize(slash);
+  }
+  return "";
+}
+
+/// Path of a checked-in input file (e.g. "examples/programs/x.mla"): under
+/// RepoRoot(), else relative to the current directory. MATOPT_BENCH_DIR
+/// never moves inputs.
+inline std::string RepoInputPath(const std::string& rel_path) {
+  const std::string root = RepoRoot();
+  return root.empty() ? rel_path : root + "/" + rel_path;
+}
+
 /// Where a bench harness writes its BENCH_*.json result file. Every
 /// harness uses this so the checked-in JSONs land in one place no matter
 /// which directory the binary runs from:
 ///   1. $MATOPT_BENCH_DIR when set (CI points this at the workspace);
-///   2. else the enclosing repo root — the nearest ancestor of the current
-///      directory containing ROADMAP.md;
+///   2. else RepoRoot();
 ///   3. else the current directory (standalone installs).
 inline std::string BenchOutputPath(const std::string& file_name) {
   const char* override_dir = std::getenv("MATOPT_BENCH_DIR");
   if (override_dir != nullptr && override_dir[0] != '\0') {
     return std::string(override_dir) + "/" + file_name;
   }
-  char cwd[4096];
-  if (::getcwd(cwd, sizeof(cwd)) != nullptr) {
-    std::string dir = cwd;
-    while (!dir.empty()) {
-      struct stat st;
-      if (::stat((dir + "/ROADMAP.md").c_str(), &st) == 0) {
-        return dir + "/" + file_name;
-      }
-      size_t slash = dir.rfind('/');
-      if (slash == std::string::npos || slash == 0) break;
-      dir.resize(slash);
-    }
-  }
-  return file_name;
+  const std::string root = RepoRoot();
+  return root.empty() ? file_name : root + "/" + file_name;
 }
 
 inline void PrintHeader(const char* figure, const char* title) {

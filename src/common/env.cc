@@ -32,7 +32,6 @@ const std::vector<EnvKnob>& MatoptEnvKnobs() {
   static const std::vector<EnvKnob> kKnobs = {
       {"MATOPT_THREADS", EnvKnob::Kind::kInt, 1, 1024},
       {"MATOPT_WORKERS", EnvKnob::Kind::kInt, 0, 4096},
-      {"MATOPT_ZERO_COPY", EnvKnob::Kind::kBool, 0, 0},
       {"MATOPT_POOL", EnvKnob::Kind::kBool, 0, 0},
       {"MATOPT_SIMD", EnvKnob::Kind::kBool, 0, 0},
       {"MATOPT_FUSION", EnvKnob::Kind::kBool, 0, 0},

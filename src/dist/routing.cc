@@ -10,10 +10,6 @@ namespace {
 const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
 }  // namespace
 
-uint64_t TupleKey(int64_t r, int64_t c) {
-  return (static_cast<uint64_t>(r) << 32) | static_cast<uint64_t>(c);
-}
-
 std::vector<Route> RoutesFor(ImplKind kind) {
   switch (kind) {
     case ImplKind::kMmSingleSingle:

@@ -23,8 +23,6 @@ namespace matopt::dist {
 /// densities, which is what makes the analyzer's per-stage byte intervals
 /// line up with the runtime's stage records label for label.
 
-uint64_t TupleKey(int64_t r, int64_t c);
-
 enum class Route {
   kIdentity,       // arg key == out key (co-partitioned, never moves)
   kBroadcast,      // replicate to every worker

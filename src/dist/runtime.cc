@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -14,374 +13,15 @@
 #include "dist/exchange.h"
 #include "dist/partition.h"
 #include "dist/routing.h"
+#include "engine/operators.h"
 #include "engine/relation.h"
-#include "la/kernels.h"
-#include "la/shard_kernels.h"
-#include "la/sparse_matrix.h"
+#include "engine/tuple_compute.h"
 
 namespace matopt::dist {
 
 namespace {
 
 const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
-
-using TupleMap = std::unordered_map<uint64_t, const EngineTuple*>;
-
-TupleMap MapTuples(const std::vector<EngineTuple>& tuples) {
-  TupleMap map;
-  map.reserve(tuples.size());
-  for (const EngineTuple& t : tuples) map[TupleKey(t.r, t.c)] = &t;
-  return map;
-}
-
-// ---------------------------------------------------------------------
-// Shard-local compute. Each case mirrors the exact kernel sequence of the
-// single-node data path (executor.cc) — same kernels, same accumulation
-// order — which is what keeps distributed sinks bit-identical to
-// single-node execution at any worker count.
-
-Result<const EngineTuple*> Find(const TupleMap& m, int64_t r, int64_t c) {
-  auto it = m.find(TupleKey(r, c));
-  if (it == m.end()) {
-    return Status::Internal("distributed gather is missing tuple (" +
-                            std::to_string(r) + "," + std::to_string(c) + ")");
-  }
-  return it->second;
-}
-
-struct ShardOutputs {
-  // Indexed like the output skeleton's tuple vector; a worker writes only
-  // the slots of the out tuples it owns.
-  std::vector<std::shared_ptr<const DenseMatrix>>* dense;
-  std::vector<std::shared_ptr<const SparseMatrix>>* sparse;
-};
-
-Status ComputeImplShard(ImplKind kind, const Vertex& vertex,
-                        const std::vector<const Relation*>& args,
-                        const std::vector<std::vector<EngineTuple>>& gathered,
-                        const Relation& skeleton,
-                        const std::vector<int>& out_indices,
-                        ShardOutputs out) {
-  TupleMap ma = MapTuples(gathered[0]);
-  TupleMap mb = gathered.size() > 1 ? MapTuples(gathered[1]) : TupleMap{};
-  auto emit = [&out](int idx, DenseMatrix m) {
-    (*out.dense)[idx] = std::make_shared<DenseMatrix>(std::move(m));
-  };
-  auto emit_sparse = [&out](int idx, SparseMatrix m) {
-    (*out.sparse)[idx] = std::make_shared<SparseMatrix>(std::move(m));
-  };
-
-  switch (kind) {
-    case ImplKind::kMmSingleSingle:
-    case ImplKind::kMmSpSingleXSingle:
-    case ImplKind::kGpuMmSingleSingle:
-    case ImplKind::kMmRowStripsXBcastSingle:
-    case ImplKind::kMmSpRowStripsXBcastSingle:
-    case ImplKind::kGpuMmRowStripsXBcastSingle: {
-      bool sp = kind == ImplKind::kMmSpSingleXSingle ||
-                kind == ImplKind::kMmSpRowStripsXBcastSingle;
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, 0));
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, 0, 0));
-        emit(idx, sp ? SpMm(*ta->sparse, *tb->dense)
-                     : Gemm(*ta->dense, *tb->dense));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kMmBcastSingleXColStrips:
-    case ImplKind::kMmSpSingleXColStrips:
-    case ImplKind::kGpuMmBcastSingleXColStrips: {
-      bool sp = kind == ImplKind::kMmSpSingleXColStrips;
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, 0, 0));
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, 0, t.c));
-        emit(idx, sp ? SpMm(*ta->sparse, *tb->dense)
-                     : Gemm(*ta->dense, *tb->dense));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kMmCrossStrips: {
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, 0));
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, 0, t.c));
-        emit(idx, Gemm(*ta->dense, *tb->dense));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kMmTilesShuffle:
-    case ImplKind::kMmBcastTilesXTiles:
-    case ImplKind::kMmTilesXBcastTiles: {
-      int64_t nk =
-          NumChunks(args[0]->type.cols(), FormatOf(args[0]->format).p2);
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        std::vector<std::pair<const DenseMatrix*, const DenseMatrix*>> prods;
-        prods.reserve(nk);
-        for (int64_t k = 0; k < nk; ++k) {
-          MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, k));
-          MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, k, t.c));
-          prods.emplace_back(ta->dense.get(), tb->dense.get());
-        }
-        emit(idx, ShardGemmSum(prods));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kMmColStripsXRowStripsOuterSum: {
-      for (int idx : out_indices) {
-        // gathered[0] arrives sorted by (r, c): (0,0), (0,1), ... — the
-        // source relation's iteration order.
-        std::vector<std::pair<const DenseMatrix*, const DenseMatrix*>> prods;
-        prods.reserve(gathered[0].size());
-        for (const EngineTuple& ta : gathered[0]) {
-          MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, ta.c, 0));
-          prods.emplace_back(ta.dense.get(), tb->dense.get());
-        }
-        emit(idx, ShardGemmSum(prods));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kMmRowStripsXBcastColStrips: {
-      ChunkDims bd = ChunkDimsFor(args[1]->type, FormatOf(args[1]->format));
-      std::vector<const DenseMatrix*> blocks;
-      std::vector<int64_t> offsets;
-      for (const EngineTuple& tb : gathered[1]) {
-        blocks.push_back(tb.dense.get());
-        offsets.push_back(tb.c * bd.cols);
-      }
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, 0));
-        emit(idx, ShardConcatGemm(*ta->dense, blocks, offsets,
-                                  args[1]->type.cols()));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kMmSpRowStripsXTiles: {
-      ChunkDims bd = ChunkDimsFor(args[1]->type, FormatOf(args[1]->format));
-      std::vector<const DenseMatrix*> tiles;
-      std::vector<int64_t> row_offsets;
-      std::vector<int64_t> col_offsets;
-      for (const EngineTuple& tb : gathered[1]) {
-        tiles.push_back(tb.dense.get());
-        row_offsets.push_back(tb.r * bd.rows);
-        col_offsets.push_back(tb.c * bd.cols);
-      }
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, 0));
-        emit(idx, ShardSpStripTilesGemm(*ta->sparse, tiles, row_offsets,
-                                        col_offsets, args[1]->type.cols()));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kAddZip:
-    case ImplKind::kSubZip:
-    case ImplKind::kHadamardZip:
-    case ImplKind::kElemDivZip:
-    case ImplKind::kReluGradZip: {
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, t.c));
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, t.r, t.c));
-        const DenseMatrix& da = *ta->dense;
-        const DenseMatrix& db = *tb->dense;
-        switch (kind) {
-          case ImplKind::kAddZip:
-            emit(idx, Add(da, db));
-            break;
-          case ImplKind::kSubZip:
-            emit(idx, Sub(da, db));
-            break;
-          case ImplKind::kHadamardZip:
-            emit(idx, Hadamard(da, db));
-            break;
-          case ImplKind::kElemDivZip:
-            emit(idx, ElemDiv(da, db));
-            break;
-          default:
-            emit(idx, ReluGrad(da, db));
-            break;
-        }
-      }
-      return Status::OK();
-    }
-    case ImplKind::kAddSparseZip: {
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, t.c));
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* tb, Find(mb, t.r, t.c));
-        emit_sparse(idx, SpAdd(*ta->sparse, *tb->sparse));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kScalarMulMap:
-    case ImplKind::kReluMap:
-    case ImplKind::kSigmoidMap:
-    case ImplKind::kExpMap:
-    case ImplKind::kSoftmaxRowStrips:
-    case ImplKind::kSoftmaxSingle: {
-      bool sp = FormatOf(args[0]->format).sparse();
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, t.c));
-        if (sp) {
-          emit_sparse(idx, ta->sparse->Scaled(vertex.scalar));
-          continue;
-        }
-        const DenseMatrix& da = *ta->dense;
-        switch (kind) {
-          case ImplKind::kScalarMulMap:
-            emit(idx, ScalarMul(da, vertex.scalar));
-            break;
-          case ImplKind::kReluMap:
-            emit(idx, Relu(da));
-            break;
-          case ImplKind::kSigmoidMap:
-            emit(idx, Sigmoid(da));
-            break;
-          case ImplKind::kExpMap:
-            emit(idx, Exp(da));
-            break;
-          default:
-            emit(idx, Softmax(da));
-            break;
-        }
-      }
-      return Status::OK();
-    }
-    case ImplKind::kTransposeSingle:
-    case ImplKind::kTransposeRowToCol:
-    case ImplKind::kTransposeColToRow:
-    case ImplKind::kTransposeTiles: {
-      TupleMap by_out_key;
-      for (const EngineTuple& t : gathered[0]) {
-        int64_t out_r = t.c;
-        int64_t out_c = t.r;
-        if (kind == ImplKind::kTransposeRowToCol) {
-          out_r = 0;
-          out_c = t.r;
-        } else if (kind == ImplKind::kTransposeColToRow) {
-          out_r = t.c;
-          out_c = 0;
-        } else if (kind == ImplKind::kTransposeSingle) {
-          out_r = 0;
-          out_c = 0;
-        }
-        by_out_key[TupleKey(out_r, out_c)] = &t;
-      }
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* src,
-                                Find(by_out_key, t.r, t.c));
-        emit(idx, Transpose(*src->dense));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kRowSumRowStrips:
-    case ImplKind::kRowSumTilesAgg:
-    case ImplKind::kRowSumSingle:
-    case ImplKind::kColSumColStrips:
-    case ImplKind::kColSumTilesAgg:
-    case ImplKind::kColSumSingle: {
-      bool row = kind == ImplKind::kRowSumRowStrips ||
-                 kind == ImplKind::kRowSumTilesAgg ||
-                 kind == ImplKind::kRowSumSingle;
-      bool to_root = kind == ImplKind::kRowSumSingle ||
-                     kind == ImplKind::kColSumSingle;
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        // Group members arrive sorted by (r, c) — exactly the source
-        // relation's iteration order within each group, so the merge adds
-        // partials in the single-node order.
-        std::vector<DenseMatrix> parts;
-        for (const EngineTuple& src : gathered[0]) {
-          if (!to_root && (row ? src.r != t.r : src.c != t.c)) continue;
-          parts.push_back(row ? RowSum(*src.dense) : ColSum(*src.dense));
-        }
-        if (parts.empty()) {
-          return Status::Internal("distributed reduce found no group input");
-        }
-        std::vector<const DenseMatrix*> ptrs;
-        ptrs.reserve(parts.size());
-        for (const DenseMatrix& p : parts) ptrs.push_back(&p);
-        emit(idx, ShardOrderedSum(ptrs));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kBroadcastRowAddBcastVec: {
-      ChunkDims ad = ChunkDimsFor(args[0]->type, FormatOf(args[0]->format));
-      for (int idx : out_indices) {
-        const EngineTuple& t = skeleton.tuples[idx];
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* ta, Find(ma, t.r, t.c));
-        MATOPT_ASSIGN_OR_RETURN(const EngineTuple* vec, Find(mb, 0, 0));
-        DenseMatrix slice = vec->dense->Block(0, t.c * ad.cols, 1, t.cols);
-        emit(idx, BroadcastRowAdd(*ta->dense, slice));
-      }
-      return Status::OK();
-    }
-    case ImplKind::kInverseSingleLu:
-    case ImplKind::kInverseGatherLu:
-    case ImplKind::kGpuInverseSingleLu: {
-      ChunkDims gd = ChunkDimsFor(args[0]->type, FormatOf(args[0]->format));
-      for (int idx : out_indices) {
-        DenseMatrix whole(args[0]->type.rows(), args[0]->type.cols());
-        for (const EngineTuple& src : gathered[0]) {
-          DenseMatrix block = src.dense ? *src.dense : src.sparse->ToDense();
-          whole.SetBlock(src.r * gd.rows, src.c * gd.cols, block);
-        }
-        MATOPT_ASSIGN_OR_RETURN(DenseMatrix inv, Inverse(whole));
-        emit(idx, std::move(inv));
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unknown implementation kind");
-}
-
-/// Per-shard transformation: assemble each owned target chunk from the
-/// overlapping source chunks routed to this worker. Copies the same
-/// doubles the single-node materialize-and-rechunk path copies, keeping
-/// payloads bit-identical.
-Status ComputeTransformShard(const MatrixType& type, const Format& src_fmt,
-                             const Format& dst_fmt,
-                             const std::vector<EngineTuple>& gathered,
-                             const Relation& skeleton,
-                             const std::vector<int>& out_indices,
-                             ShardOutputs out) {
-  ChunkDims sd = ChunkDimsFor(type, src_fmt);
-  ChunkDims dd = ChunkDimsFor(type, dst_fmt);
-  for (int idx : out_indices) {
-    const EngineTuple& t = skeleton.tuples[idx];
-    int64_t dr0 = t.r * dd.rows;
-    int64_t dc0 = t.c * dd.cols;
-    DenseMatrix block(t.rows, t.cols);
-    for (const EngineTuple& s : gathered) {
-      int64_t sr0 = s.r * sd.rows;
-      int64_t sc0 = s.c * sd.cols;
-      int64_t r_lo = std::max(sr0, dr0);
-      int64_t r_hi = std::min(sr0 + s.rows, dr0 + t.rows);
-      int64_t c_lo = std::max(sc0, dc0);
-      int64_t c_hi = std::min(sc0 + s.cols, dc0 + t.cols);
-      if (r_lo >= r_hi || c_lo >= c_hi) continue;
-      DenseMatrix src_dense = s.dense ? *s.dense : s.sparse->ToDense();
-      for (int64_t r = r_lo; r < r_hi; ++r) {
-        for (int64_t c = c_lo; c < c_hi; ++c) {
-          block(r - dr0, c - dc0) = src_dense(r - sr0, c - sc0);
-        }
-      }
-    }
-    if (dst_fmt.sparse()) {
-      (*out.sparse)[idx] =
-          std::make_shared<SparseMatrix>(SparseMatrix::FromDense(block));
-    } else {
-      (*out.dense)[idx] = std::make_shared<DenseMatrix>(std::move(block));
-    }
-  }
-  return Status::OK();
-}
 
 // ---------------------------------------------------------------------
 // Pass driver.
@@ -412,12 +52,6 @@ struct ArgExchange {
   }
 };
 
-/// Fills the owned out slots from the gathered argument tuples.
-using ComputeFn = std::function<Status(
-    const std::vector<std::vector<EngineTuple>>& gathered,
-    const Relation& skeleton, const std::vector<int>& out_indices,
-    ShardOutputs out)>;
-
 struct PassEnv {
   const Catalog& catalog;
   const ClusterConfig& cluster;
@@ -434,15 +68,15 @@ struct PassEnv {
 
 /// Runs one exchange stage: plan the moves and enforce budgets, account
 /// them into the stage's DistExchangeRecord, and — on the data pass —
-/// execute the phased send / gather / compute protocol and install the
+/// execute the phased send / gather / compute protocol, each worker
+/// filling its out slots through the tuple-compute table, and install the
 /// computed payloads into `skeleton`.
 Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
-                                  const std::vector<const Relation*>& args,
+                                  const TupleStage& stage,
                                   const std::vector<Route>& routes,
                                   std::vector<KeyFn> keyfns,
-                                  Relation skeleton,
-                                  bool recompute_rel_sparsity,
-                                  const ComputeFn& compute) {
+                                  Relation skeleton) {
+  const std::vector<const Relation*>& args = stage.args;
   const int W = env.num_workers;
   OwnerMap owners = MapOwners(skeleton, W);
   if (keyfns.empty()) {
@@ -531,10 +165,7 @@ Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
 
   // Drain + compute phase: each worker gathers its inbound tuples in rank
   // order and computes the out tuples it owns into index-addressed slots.
-  std::vector<std::shared_ptr<const DenseMatrix>> dense_out(
-      skeleton.tuples.size());
-  std::vector<std::shared_ptr<const SparseMatrix>> sparse_out(
-      skeleton.tuples.size());
+  PayloadSlots slots(skeleton.tuples.size());
   ParallelFor(0, W, 1, [&](int64_t w0, int64_t w1) {
     for (int64_t w = w0; w < w1; ++w) {
       auto start = Clock::now();
@@ -548,8 +179,10 @@ Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
         gathered[j] = std::move(g).value();
       }
       if (worker_status[w].ok()) {
-        worker_status[w] = compute(gathered, skeleton, out_indices[w],
-                                   ShardOutputs{&dense_out, &sparse_out});
+        std::vector<std::span<const EngineTuple>> spans(gathered.begin(),
+                                                        gathered.end());
+        worker_status[w] = ComputeTuples(stage, spans, skeleton,
+                                         out_indices[w], nullptr, &slots);
       }
       charge_busy(static_cast<int>(w), start);
     }
@@ -558,31 +191,9 @@ Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
     MATOPT_RETURN_IF_ERROR(s);
   }
 
-  // Install payloads, mirroring FinishOutput / FinishSparseOutput.
-  bool sparse_fmt = FormatOf(skeleton.format).sparse();
-  skeleton.has_data = true;
-  int64_t total_nnz = 0;
-  for (size_t i = 0; i < skeleton.tuples.size(); ++i) {
-    EngineTuple& t = skeleton.tuples[i];
-    if (sparse_fmt) {
-      t.sparse = sparse_out[i] != nullptr
-                     ? sparse_out[i]
-                     : std::make_shared<SparseMatrix>(t.rows, t.cols);
-      t.sparsity = sparse_out[i] != nullptr ? t.sparse->Sparsity() : 0.0;
-      total_nnz += t.sparse->nnz();
-    } else {
-      t.dense = dense_out[i] != nullptr
-                    ? dense_out[i]
-                    : std::make_shared<DenseMatrix>(t.rows, t.cols);
-    }
-  }
-  if (sparse_fmt && recompute_rel_sparsity) {
-    // Matches MakeSparseRelation: the relation's sparsity is the measured
-    // non-zero fraction of the whole matrix.
-    int64_t total = skeleton.type.rows() * skeleton.type.cols();
-    skeleton.sparsity =
-        total == 0 ? 0.0 : static_cast<double>(total_nnz) / total;
-  }
+  // A transformation's sparse target reports its measured sparsity.
+  InstallPayloads(std::move(slots),
+                  /*measure_sparsity=*/!stage.kind.has_value(), &skeleton);
 
   // Measured side of the record, from the transport/exchange counters.
   rec.measured_shuffle_bytes = 0.0;
@@ -609,33 +220,16 @@ Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
 
 Result<Relation> RunTransformStage(PassEnv& env, const std::string& label,
                                    TransformKind kind, const Relation& input) {
-  ArgInfo arg{input.type, input.format, input.sparsity};
-  auto target = env.catalog.TransformOutputFormat(kind, arg, env.cluster);
-  if (!target.has_value()) {
-    return Status::TypeError(std::string("transformation ") +
-                             TransformKindName(kind) +
-                             " is infeasible for this relation");
-  }
-  const Format src_fmt = FormatOf(input.format);
-  const Format dst_fmt = FormatOf(*target);
-  double out_sparsity = dst_fmt.sparse() ? input.sparsity : 1.0;
-  Relation skeleton =
-      MakeDryRelation(input.type, *target, out_sparsity, env.cluster);
-
-  KeyFn overlap = GridOverlapKeyFn(input.type, src_fmt, dst_fmt);
-  const MatrixType type = input.type;
-  ComputeFn compute = [type, src_fmt, dst_fmt](
-                          const std::vector<std::vector<EngineTuple>>& g,
-                          const Relation& skel,
-                          const std::vector<int>& out_idx, ShardOutputs out) {
-    return ComputeTransformShard(type, src_fmt, dst_fmt, g[0], skel, out_idx,
-                                 out);
-  };
+  MATOPT_ASSIGN_OR_RETURN(
+      Relation skeleton,
+      TransformSkeleton(env.catalog, kind, input, env.cluster));
   std::vector<KeyFn> keyfns;
-  keyfns.push_back(std::move(overlap));
-  return RunExchangeStage(env, label, {&input}, {Route::kIdentity},
-                          std::move(keyfns), std::move(skeleton),
-                          /*recompute_rel_sparsity=*/true, compute);
+  keyfns.push_back(GridOverlapKeyFn(input.type, FormatOf(input.format),
+                                    FormatOf(skeleton.format)));
+  return RunExchangeStage(env, label,
+                          TupleStage{std::nullopt, nullptr, {&input}},
+                          {Route::kIdentity}, std::move(keyfns),
+                          std::move(skeleton));
 }
 
 /// Runs every annotated atomic computation of the plan as per-shard local
@@ -683,19 +277,10 @@ Status RunPass(PassEnv& env, std::unordered_map<int, Relation> relations,
     double out_sparsity = FormatOf(out_format).sparse() ? vx.sparsity : 1.0;
     Relation skeleton =
         MakeDryRelation(vx.type, out_format, out_sparsity, env.cluster);
-    ImplKind impl = va.impl;
-    ComputeFn compute = [impl, &vx, &args](
-                            const std::vector<std::vector<EngineTuple>>& g,
-                            const Relation& skel,
-                            const std::vector<int>& out_idx,
-                            ShardOutputs out) {
-      return ComputeImplShard(impl, vx, args, g, skel, out_idx, out);
-    };
     MATOPT_ASSIGN_OR_RETURN(
         Relation out_rel,
-        RunExchangeStage(env, label, args, RoutesFor(impl), {},
-                         std::move(skeleton),
-                         /*recompute_rel_sparsity=*/false, compute));
+        RunExchangeStage(env, label, TupleStage{va.impl, &vx, args},
+                         RoutesFor(va.impl), {}, std::move(skeleton)));
     relations[v] = std::move(out_rel);
   }
 
@@ -716,7 +301,7 @@ Result<ExecResult> ExecuteDistributedPlan(
     const Catalog& catalog, const ClusterConfig& cluster,
     const ComputeGraph& graph, const Annotation& annotation,
     std::unordered_map<int, Relation> inputs, int num_workers,
-    Transport* transport, bool zero_copy, bool fusion) {
+    Transport* transport, bool fusion) {
   if (num_workers < 1) {
     return Status::InvalidArgument("distributed execution needs >= 1 worker");
   }
@@ -733,7 +318,6 @@ Result<ExecResult> ExecuteDistributedPlan(
   // full simulated ExecStats, runs the pre-flight plan analysis, and
   // reproduces the sim-side budget failures.
   PlanExecutor sim(catalog, cluster);
-  sim.set_zero_copy(zero_copy);
   sim.set_fusion(fusion);
   sim.set_dist_workers(0);
   MATOPT_ASSIGN_OR_RETURN(ExecResult result,

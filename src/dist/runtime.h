@@ -21,7 +21,9 @@ namespace matopt::dist {
 /// ExecStats (including the sim-side budget failures), a projection pass
 /// that predicts each stage's exchange traffic from relation metadata, and
 /// the data pass that routes real payloads and fills in the measured side
-/// of each DistExchangeRecord. Sink relations are bit-identical to a
+/// of each DistExchangeRecord. Each worker fills its out tuples through the
+/// same tuple-compute table the single-node executor runs
+/// (engine/tuple_compute.h), so sink relations are bit-identical to a
 /// single-node execution at any worker count; stats.dist reports predicted
 /// vs measured traffic per stage.
 ///
@@ -36,7 +38,7 @@ Result<ExecResult> ExecuteDistributedPlan(
     const Catalog& catalog, const ClusterConfig& cluster,
     const ComputeGraph& graph, const Annotation& annotation,
     std::unordered_map<int, Relation> inputs, int num_workers,
-    Transport* transport, bool zero_copy, bool fusion);
+    Transport* transport, bool fusion);
 
 }  // namespace matopt::dist
 

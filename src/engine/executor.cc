@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -14,44 +15,22 @@
 #include "core/fusion/fusion.h"
 #include "dist/runtime.h"
 #include "engine/operators.h"
+#include "engine/tuple_compute.h"
 #include "la/fused.h"
-#include "la/kernels.h"
 
 namespace matopt {
 
 namespace {
 
-// Payload computation is data-parallel across tuples: every task writes
-// one slot of an index-addressed vector and the results are installed in
-// the payload map sequentially afterwards, so the output is bit-identical
-// to a sequential run at any thread count. Stage *accounting* stays on
-// the coordinating thread (it is O(tuples) scalar work) which keeps
-// ExecStats totals exactly reproducible. Nested kernels (Gemm etc.) run
-// inline when invoked from a payload task.
-
-/// Runs fn(i) for i in [0, n) on the default pool, one tuple per grain
-/// unit (each tuple is already a large block of numeric work).
-template <typename Fn>
-void ParallelTuples(int64_t n, Fn&& fn) {
-  ParallelFor(0, n, 1, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) fn(i);
-  });
-}
+// Every Exec* below is the metadata half of one implementation: it charges
+// the simulated stages (StageAccountant), tallies the deterministic memory
+// fields, decides payload stealing and returns the output skeleton. It
+// never touches a payload. ExecuteImpl then fills the skeleton through the
+// shared tuple-compute table (engine/tuple_compute.h) when the inputs carry
+// data. Accounting runs on the coordinating thread, so ExecStats totals are
+// exactly reproducible at any thread count.
 
 const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
-
-uint64_t Key(int64_t r, int64_t c) {
-  return (static_cast<uint64_t>(r) << 32) | static_cast<uint64_t>(c);
-}
-
-using TupleMap = std::unordered_map<uint64_t, const EngineTuple*>;
-
-TupleMap MapTuples(const Relation& rel) {
-  TupleMap map;
-  map.reserve(rel.tuples.size());
-  for (const EngineTuple& t : rel.tuples) map[Key(t.r, t.c)] = &t;
-  return map;
-}
 
 /// Shared execution context for one atomic computation implementation.
 struct Ctx {
@@ -59,9 +38,9 @@ struct Ctx {
   ExecStats* stats;
   const Vertex& vertex;
   FormatId out_format;
-  bool data;        // inputs carry real payloads
+  bool data;         // inputs carry real payloads
   bool gpu = false;  // offload arithmetic to the worker's accelerator
-  ExecOptions opts;
+  InPlaceTargets* in_place = nullptr;  // data mode: stolen output buffers
 
   int workers() const { return cluster.num_workers; }
   MemoryStats* mem() const { return &stats->memory; }
@@ -71,62 +50,83 @@ double TupleBytes(const EngineTuple& t) {
   return 8.0 * static_cast<double>(t.rows) * static_cast<double>(t.cols);
 }
 
-/// Whether arg tuple i's dense payload may be reused as this vertex's
-/// output buffer. Decided on the coordinating thread: the plan proved the
-/// producer dead after this edge (`owned`), and in data mode the relation
-/// holds the only reference (payloads shared via a passthrough earlier in
-/// the plan are left alone). Dry-run mode counts the plan-level decision
-/// as a projection so EXPLAIN reports reuse at paper scale.
-bool StealDecision(const Ctx& ctx, const ExecInput& arg, size_t i) {
-  if (!ctx.opts.zero_copy || arg.owned == nullptr) return false;
-  if (!ctx.data) return true;
-  const auto& payload = arg.owned->tuples[i].dense;
-  return payload != nullptr && payload.use_count() == 1;
-}
-
-/// Mutable handle on a stolen payload. Safe because every payload is
-/// created via make_shared<DenseMatrix> (the object itself is not const)
-/// and the refcount-1 check ran on the coordinating thread before any
-/// parallel work.
-std::shared_ptr<DenseMatrix> StealPayload(const ExecInput& arg, size_t i) {
-  return std::const_pointer_cast<DenseMatrix>(arg.owned->tuples[i].dense);
-}
-
-/// Tallies one output tuple produced by an element-wise stage: reused in
-/// place (moved) or freshly materialized (copied). Called sequentially.
-void CountElemOutput(const Ctx& ctx, const EngineTuple& t, bool in_place) {
-  if (in_place) {
-    ctx.mem()->bytes_moved += TupleBytes(t);
-    ++ctx.mem()->inplace_kernels;
-    ++ctx.mem()->allocs_avoided;
-  } else {
-    ctx.mem()->bytes_copied += TupleBytes(t);
-  }
-}
-
-/// Output relation for a fused-group member: its value was already
-/// applied in place over the group base's output, so the skeleton is
-/// built normally (same placement/accounting) and payloads are shared
-/// from `src` — a pointer transfer per tuple, no allocation, no copy.
-/// Those never-materialized bytes are the fusion win and are tallied as
-/// such (identically in dry and data mode — the decision is plan-level).
-Relation FinishPassthrough(const Ctx& ctx, const Relation& src) {
+/// The output relation's metadata: deterministic chunking and placement.
+Relation Skeleton(const Ctx& ctx) {
   double out_sparsity =
       FormatOf(ctx.out_format).sparse() ? ctx.vertex.sparsity : 1.0;
-  Relation out = MakeDryRelation(ctx.vertex.type, ctx.out_format, out_sparsity,
-                                 ctx.cluster);
-  TupleMap m;
-  if (ctx.data) {
-    out.has_data = true;
-    m = MapTuples(src);
+  return MakeDryRelation(ctx.vertex.type, ctx.out_format, out_sparsity,
+                         ctx.cluster);
+}
+
+/// Whether arg tuple i's dense payload may become out tuple i's buffer.
+/// The plan proved the producer dead after this edge (`owned`), the tuple
+/// lines up with the out tuple, and in data mode the relation holds the
+/// only reference (payloads shared via a passthrough earlier in the plan
+/// are left alone). Dry-run mode counts the plan-level decision as a
+/// projection so EXPLAIN reports reuse at paper scale.
+bool StealDecision(const Ctx& ctx, const ExecInput& arg, const Relation& out,
+                   size_t i) {
+  if (arg.owned == nullptr || i >= out.tuples.size()) return false;
+  const EngineTuple& t = arg.owned->tuples[i];
+  if (t.r != out.tuples[i].r || t.c != out.tuples[i].c) return false;
+  if (!ctx.data) return true;
+  return t.dense != nullptr && t.dense.use_count() == 1;
+}
+
+/// Element-wise stage output: per arg-0 tuple, decides whether the kernel
+/// reuses the dying payload in place (moved) or writes a fresh buffer
+/// (copied), tallies it and, in data mode, hands the stolen buffer to the
+/// compute table. The refcount-1 check runs here, before any parallel work.
+/// A stolen payload is mutable: every payload is created via
+/// make_shared<DenseMatrix> (the object itself is not const).
+Relation ElementwiseOutput(const Ctx& ctx, const ExecInput& a_in) {
+  Relation out = Skeleton(ctx);
+  const Relation& a = *a_in.rel;
+  if (ctx.data) ctx.in_place->resize(out.tuples.size());
+  for (size_t i = 0; i < a.tuples.size(); ++i) {
+    if (StealDecision(ctx, a_in, out, i)) {
+      if (ctx.data) {
+        (*ctx.in_place)[i] =
+            std::const_pointer_cast<DenseMatrix>(a_in.owned->tuples[i].dense);
+      }
+      ctx.mem()->bytes_moved += TupleBytes(a.tuples[i]);
+      ++ctx.mem()->inplace_kernels;
+      ++ctx.mem()->allocs_avoided;
+    } else {
+      ctx.mem()->bytes_copied += TupleBytes(a.tuples[i]);
+    }
   }
-  for (EngineTuple& t : out.tuples) {
+  return out;
+}
+
+/// Output skeleton for a fused-group member: its value was already applied
+/// in place over the group base's output, so ExecuteImpl shares payloads
+/// from the accumulator argument — a pointer transfer per tuple, no
+/// allocation, no copy. Those never-materialized bytes are the fusion win
+/// and are tallied as such (identically in dry and data mode — the
+/// decision is plan-level).
+Relation PassthroughOutput(const Ctx& ctx) {
+  Relation out = Skeleton(ctx);
+  for (const EngineTuple& t : out.tuples) {
     ctx.mem()->fused_bytes_avoided += TupleBytes(t);
     ++ctx.mem()->moved_payloads;
     ++ctx.mem()->fused_kernels;
-    if (ctx.data) t.dense = m.at(Key(t.r, t.c))->dense;
   }
   return out;
+}
+
+/// View accumulation: each (lhs tuple, rhs block) product lands directly
+/// in a window of the output strip instead of a fresh block, `copies`
+/// block-sized writes avoided per pair.
+void CountViewAccumulation(const Ctx& ctx, const Relation& a,
+                           const Relation& b, double copies) {
+  for (const EngineTuple& ta : a.tuples) {
+    for (const EngineTuple& tb : b.tuples) {
+      ctx.mem()->bytes_moved +=
+          copies * (8.0 * static_cast<double>(ta.rows) * tb.cols);
+      ++ctx.mem()->allocs_avoided;
+    }
+  }
 }
 
 /// Charges arithmetic either to the CPU or, for GPU implementations, to
@@ -139,48 +139,6 @@ void ChargeCompute(const Ctx& ctx, StageAccountant& acct, int worker,
   } else {
     acct.AddFlops(worker, flops);
   }
-}
-
-/// Builds the output relation skeleton (deterministic chunking/placement)
-/// and, when data is present, installs the computed payloads.
-Relation FinishOutput(const Ctx& ctx,
-                      std::unordered_map<uint64_t, DenseMatrix>* payloads) {
-  double out_sparsity =
-      FormatOf(ctx.out_format).sparse() ? ctx.vertex.sparsity : 1.0;
-  Relation out = MakeDryRelation(ctx.vertex.type, ctx.out_format, out_sparsity,
-                                 ctx.cluster);
-  if (ctx.data && payloads != nullptr) {
-    out.has_data = true;
-    for (EngineTuple& t : out.tuples) {
-      auto it = payloads->find(Key(t.r, t.c));
-      if (it != payloads->end()) {
-        t.dense = std::make_shared<DenseMatrix>(std::move(it->second));
-      } else {
-        t.dense = std::make_shared<DenseMatrix>(t.rows, t.cols);
-      }
-    }
-  }
-  return out;
-}
-
-Relation FinishSparseOutput(
-    const Ctx& ctx, std::unordered_map<uint64_t, SparseMatrix>* payloads) {
-  Relation out = MakeDryRelation(ctx.vertex.type, ctx.out_format,
-                                 ctx.vertex.sparsity, ctx.cluster);
-  if (ctx.data && payloads != nullptr) {
-    out.has_data = true;
-    for (EngineTuple& t : out.tuples) {
-      auto it = payloads->find(Key(t.r, t.c));
-      if (it != payloads->end()) {
-        t.sparse = std::make_shared<SparseMatrix>(std::move(it->second));
-        t.sparsity = t.sparse->Sparsity();
-      } else {
-        t.sparse = std::make_shared<SparseMatrix>(t.rows, t.cols);
-        t.sparsity = 0.0;
-      }
-    }
-  }
-  return out;
 }
 
 double OutTupleBytes(const Ctx& ctx) {
@@ -217,13 +175,7 @@ Result<Relation> ExecMmLocalSingle(const Ctx& ctx, const Relation& a,
   acct.AddDisk(ta.worker, TotalOutBytes(ctx));
   acct.AddTuples(3);
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    payloads.emplace(Key(0, 0), sparse_lhs ? SpMm(*ta.sparse, *tb.dense)
-                                           : Gemm(*ta.dense, *tb.dense));
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 /// row-strips (dense or sparse CSR) x broadcast single -> row strips.
@@ -245,20 +197,7 @@ Result<Relation> ExecMmStripsBcastSingle(const Ctx& ctx, const Relation& a,
   }
   acct.AddTuples(2.0 * a.tuples.size() + ctx.workers());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    std::vector<DenseMatrix> outs(a.tuples.size());
-    ParallelTuples(a.tuples.size(), [&](int64_t i) {
-      const EngineTuple& t = a.tuples[i];
-      outs[i] = sparse_lhs ? SpMm(*t.sparse, *tb.dense)
-                           : Gemm(*t.dense, *tb.dense);
-    });
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      payloads.emplace(Key(a.tuples[i].r, 0), std::move(outs[i]));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 /// broadcast single (dense or sparse) x col-strips -> col strips.
@@ -279,20 +218,7 @@ Result<Relation> ExecMmBcastSingleStrips(const Ctx& ctx, const Relation& a,
   }
   acct.AddTuples(2.0 * b.tuples.size() + ctx.workers());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    std::vector<DenseMatrix> outs(b.tuples.size());
-    ParallelTuples(b.tuples.size(), [&](int64_t i) {
-      const EngineTuple& t = b.tuples[i];
-      outs[i] = sparse_lhs ? SpMm(*ta.sparse, *t.dense)
-                           : Gemm(*ta.dense, *t.dense);
-    });
-    for (size_t i = 0; i < b.tuples.size(); ++i) {
-      payloads.emplace(Key(0, b.tuples[i].c), std::move(outs[i]));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 /// row-strips x col-strips cross join -> tiles, no aggregation.
@@ -324,20 +250,7 @@ Result<Relation> ExecMmCrossStrips(const Ctx& ctx, const Relation& a,
   acct.AddTuples(static_cast<double>(a.tuples.size()) + b.tuples.size() +
                  static_cast<double>(a.tuples.size()) * b.tuples.size());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    const int64_t nb = static_cast<int64_t>(b.tuples.size());
-    std::vector<DenseMatrix> outs(a.tuples.size() * b.tuples.size());
-    ParallelTuples(outs.size(), [&](int64_t i) {
-      outs[i] = Gemm(*a.tuples[i / nb].dense, *b.tuples[i % nb].dense);
-    });
-    for (size_t i = 0; i < outs.size(); ++i) {
-      payloads.emplace(Key(a.tuples[i / nb].r, b.tuples[i % nb].c),
-                       std::move(outs[i]));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 /// tiles x tiles shuffle join + group-by SUM; `bcast` selects the
@@ -418,36 +331,7 @@ Result<Relation> ExecMmTiles(const Ctx& ctx, const Relation& a,
   agg.AddTuples(static_cast<double>(nr) * nc +
                 (bcast == 0 ? partials : 0.0));
   MATOPT_RETURN_IF_ERROR(agg.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    TupleMap ma = MapTuples(a);
-    TupleMap mb = MapTuples(b);
-    // One task per output tile (i, j); the k accumulation inside a tile
-    // keeps its sequential order, so results match sequential runs bit
-    // for bit.
-    std::vector<DenseMatrix> outs(nr * nc);
-    ParallelTuples(nr * nc, [&](int64_t idx) {
-      const int64_t i = idx / nc;
-      const int64_t j = idx % nc;
-      DenseMatrix sum;
-      for (int64_t k = 0; k < nk; ++k) {
-        const EngineTuple* ta = ma.at(Key(i, k));
-        const EngineTuple* tb = mb.at(Key(k, j));
-        if (sum.size() == 0) {
-          sum = DenseMatrix::Pooled(ta->rows, tb->cols);
-        }
-        GemmAccumulate(*ta->dense, *tb->dense, &sum);
-      }
-      outs[idx] = std::move(sum);
-    });
-    for (int64_t i = 0; i < nr; ++i) {
-      for (int64_t j = 0; j < nc; ++j) {
-        payloads.emplace(Key(i, j), std::move(outs[i * nc + j]));
-      }
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 /// col-strips x row-strips joined on the strip index; every pair yields a
@@ -481,18 +365,7 @@ Result<Relation> ExecMmOuterSum(const Ctx& ctx, const Relation& a,
   agg.AddDisk(owner, out_bytes);
   agg.AddTuples(1);
   MATOPT_RETURN_IF_ERROR(agg.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    TupleMap mb = MapTuples(b);
-    DenseMatrix sum = DenseMatrix::Pooled(a.type.rows(), b.type.cols());
-    for (const EngineTuple& ta : a.tuples) {
-      const EngineTuple* tb = mb.at(Key(ta.c, 0));
-      GemmAccumulate(*ta.dense, *tb->dense, &sum);
-    }
-    payloads.emplace(Key(0, 0), std::move(sum));
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 /// row-strips x broadcast whole col-striped rhs -> row strips.
@@ -512,50 +385,8 @@ Result<Relation> ExecMmStripsBcastColStrips(const Ctx& ctx, const Relation& a,
   acct.AddTuples(2.0 * a.tuples.size() +
                  static_cast<double>(b.tuples.size()) * ctx.workers());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  // Zero-copy: each (strip, block) product accumulates directly into a
-  // view of the output strip; the copy path materializes each block and
-  // SetBlock-copies it in. Tallied sequentially (dry-run and data alike).
-  const bool zc = ctx.opts.zero_copy;
-  for (const EngineTuple& ta : a.tuples) {
-    for (const EngineTuple& tb : b.tuples) {
-      double block_bytes = 8.0 * static_cast<double>(ta.rows) * tb.cols;
-      if (zc) {
-        ctx.mem()->bytes_moved += block_bytes;
-        ++ctx.mem()->allocs_avoided;
-      } else {
-        ctx.mem()->bytes_copied += block_bytes;
-      }
-    }
-  }
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    ChunkDims bd = ChunkDimsFor(b.type, FormatOf(b.format));
-    std::vector<DenseMatrix> outs(a.tuples.size());
-    ParallelTuples(a.tuples.size(), [&](int64_t i) {
-      const EngineTuple& ta = a.tuples[i];
-      if (zc) {
-        DenseMatrix out_strip = DenseMatrix::Pooled(ta.rows, b.type.cols());
-        for (const EngineTuple& tb : b.tuples) {
-          GemmAccumulate(*ta.dense, *tb.dense,
-                         out_strip.MutableBlock(0, tb.c * bd.cols, ta.rows,
-                                                tb.cols));
-        }
-        outs[i] = std::move(out_strip);
-      } else {
-        DenseMatrix out_strip(ta.rows, b.type.cols());
-        for (const EngineTuple& tb : b.tuples) {
-          out_strip.SetBlock(0, tb.c * bd.cols, Gemm(*ta.dense, *tb.dense));
-        }
-        outs[i] = std::move(out_strip);
-      }
-    });
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      payloads.emplace(Key(a.tuples[i].r, 0), std::move(outs[i]));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  CountViewAccumulation(ctx, a, b, 1.0);
+  return Skeleton(ctx);
 }
 
 /// sparse CSR row strips x dense tiles -> dense row strips (shuffle+agg).
@@ -596,66 +427,18 @@ Result<Relation> ExecMmSpStripsTiles(const Ctx& ctx, const Relation& a,
   }
   agg.AddTuples(static_cast<double>(a.tuples.size()));
   MATOPT_RETURN_IF_ERROR(agg.Commit());
-
-  // Zero-copy: accumulate each sparse-slice product straight into a view
-  // of the output strip (the copy path extracts the block, accumulates,
-  // and SetBlock-copies it back: two block copies per pair). Tallied
-  // sequentially (dry-run and data alike).
-  const bool zc = ctx.opts.zero_copy;
-  for (const EngineTuple& ta : a.tuples) {
-    for (const EngineTuple& tb : b.tuples) {
-      double block_bytes = 8.0 * static_cast<double>(ta.rows) * tb.cols;
-      if (zc) {
-        ctx.mem()->bytes_moved += 2.0 * block_bytes;
-        ++ctx.mem()->allocs_avoided;
-      } else {
-        ctx.mem()->bytes_copied += 2.0 * block_bytes;
-      }
-    }
-  }
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    ChunkDims bd = ChunkDimsFor(b.type, FormatOf(b.format));
-    std::vector<DenseMatrix> outs(a.tuples.size());
-    ParallelTuples(a.tuples.size(), [&](int64_t i) {
-      const EngineTuple& ta = a.tuples[i];
-      if (zc) {
-        DenseMatrix out_strip = DenseMatrix::Pooled(ta.rows, b.type.cols());
-        for (const EngineTuple& tb : b.tuples) {
-          SparseMatrix slice = ta.sparse->ColSlice(tb.r * bd.rows, tb.rows);
-          SpMmAccumulate(slice, *tb.dense,
-                         out_strip.MutableBlock(0, tb.c * bd.cols, ta.rows,
-                                                tb.cols));
-          slice.Recycle();
-        }
-        outs[i] = std::move(out_strip);
-      } else {
-        DenseMatrix out_strip(ta.rows, b.type.cols());
-        for (const EngineTuple& tb : b.tuples) {
-          SparseMatrix slice = ta.sparse->ColSlice(tb.r * bd.rows, tb.rows);
-          DenseMatrix block = out_strip.Block(0, tb.c * bd.cols, ta.rows,
-                                              tb.cols);
-          SpMmAccumulate(slice, *tb.dense, &block);
-          out_strip.SetBlock(0, tb.c * bd.cols, block);
-        }
-        outs[i] = std::move(out_strip);
-      }
-    });
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      payloads.emplace(Key(a.tuples[i].r, 0), std::move(outs[i]));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  // Accumulating into a view saves extracting the block and copying it
+  // back: two block copies per pair.
+  CountViewAccumulation(ctx, a, b, 2.0);
+  return Skeleton(ctx);
 }
 
 // ---------------------------------------------------------------------
 // Element-wise, map, reduction, and inverse implementations.
 
 Result<Relation> ExecZip(const Ctx& ctx, ImplKind kind, const ExecInput& a_in,
-                         const ExecInput& b_in) {
+                         int passthrough_arg) {
   const Relation& a = *a_in.rel;
-  const Relation& b = *b_in.rel;
   StageAccountant acct(ctx.cluster, ctx.stats, "zip");
   for (const EngineTuple& t : a.tuples) {
     double entries = static_cast<double>(t.rows) * t.cols;
@@ -666,67 +449,8 @@ Result<Relation> ExecZip(const Ctx& ctx, ImplKind kind, const ExecInput& a_in,
   }
   acct.AddTuples(3.0 * a.tuples.size());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  switch (kind) {
-    case ImplKind::kAddZip:
-    case ImplKind::kSubZip:
-    case ImplKind::kHadamardZip:
-    case ImplKind::kElemDivZip:
-    case ImplKind::kReluGradZip:
-      break;
-    default: return Status::Internal("not a zip implementation");
-  }
-
-  // This vertex is a fused-group member: its value was applied in place
-  // at the group base. Accounting above stays, payloads transfer through.
-  if (ctx.opts.passthrough_arg >= 0) {
-    return FinishPassthrough(ctx, ctx.opts.passthrough_arg == 0 ? a : b);
-  }
-
-  const size_t n = a.tuples.size();
-
-  // Steal/reuse decisions on the coordinating thread, before any parallel
-  // work (both for thread safety and so the tallies are deterministic).
-  std::vector<std::shared_ptr<DenseMatrix>> stolen(n);
-  for (size_t i = 0; i < n; ++i) {
-    bool in_place = StealDecision(ctx, a_in, i);
-    if (in_place && ctx.data) stolen[i] = StealPayload(a_in, i);
-    CountElemOutput(ctx, a.tuples[i], in_place);
-  }
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    TupleMap mb = MapTuples(b);
-    std::vector<DenseMatrix> outs(n);
-    ParallelTuples(n, [&](int64_t i) {
-      const EngineTuple& ta = a.tuples[i];
-      const DenseMatrix& da = *ta.dense;
-      const DenseMatrix& db = *mb.at(Key(ta.r, ta.c))->dense;
-      DenseMatrix* dst = stolen[i] ? stolen[i].get() : nullptr;
-      switch (kind) {
-        case ImplKind::kAddZip:
-          dst ? AddInto(da, db, dst) : void(outs[i] = Add(da, db));
-          break;
-        case ImplKind::kSubZip:
-          dst ? SubInto(da, db, dst) : void(outs[i] = Sub(da, db));
-          break;
-        case ImplKind::kHadamardZip:
-          dst ? HadamardInto(da, db, dst) : void(outs[i] = Hadamard(da, db));
-          break;
-        case ImplKind::kElemDivZip:
-          dst ? ElemDivInto(da, db, dst) : void(outs[i] = ElemDiv(da, db));
-          break;
-        default:
-          dst ? ReluGradInto(da, db, dst) : void(outs[i] = ReluGrad(da, db));
-          break;
-      }
-    });
-    for (size_t i = 0; i < n; ++i) {
-      DenseMatrix& out = stolen[i] ? *stolen[i] : outs[i];
-      payloads.emplace(Key(a.tuples[i].r, a.tuples[i].c), std::move(out));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  if (passthrough_arg >= 0) return PassthroughOutput(ctx);
+  return ElementwiseOutput(ctx, a_in);
 }
 
 Result<Relation> ExecSparseAdd(const Ctx& ctx, const Relation& a,
@@ -740,24 +464,11 @@ Result<Relation> ExecSparseAdd(const Ctx& ctx, const Relation& a,
   }
   acct.AddTuples(3.0 * a.tuples.size());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  std::unordered_map<uint64_t, SparseMatrix> payloads;
-  if (ctx.data) {
-    TupleMap mb = MapTuples(b);
-    std::vector<SparseMatrix> outs(a.tuples.size());
-    ParallelTuples(a.tuples.size(), [&](int64_t i) {
-      const EngineTuple& ta = a.tuples[i];
-      const EngineTuple* tb = mb.at(Key(ta.r, ta.c));
-      outs[i] = SpAdd(*ta.sparse, *tb->sparse);
-    });
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      payloads.emplace(Key(a.tuples[i].r, a.tuples[i].c), std::move(outs[i]));
-    }
-  }
-  return FinishSparseOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
-Result<Relation> ExecMap(const Ctx& ctx, ImplKind kind, const ExecInput& a_in) {
+Result<Relation> ExecMap(const Ctx& ctx, ImplKind kind, const ExecInput& a_in,
+                         int passthrough_arg) {
   const Relation& a = *a_in.rel;
   bool sparse = FormatOf(a.format).sparse();
   StageAccountant acct(ctx.cluster, ctx.stats, "map");
@@ -777,70 +488,10 @@ Result<Relation> ExecMap(const Ctx& ctx, ImplKind kind, const ExecInput& a_in) {
   acct.AddTuples(2.0 * a.tuples.size());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
 
-  if (sparse) {
-    std::unordered_map<uint64_t, SparseMatrix> payloads;
-    if (ctx.data) {
-      for (const EngineTuple& t : a.tuples) {
-        payloads.emplace(Key(t.r, t.c), t.sparse->Scaled(ctx.vertex.scalar));
-      }
-    }
-    return FinishSparseOutput(ctx, &payloads);
-  }
-  switch (kind) {
-    case ImplKind::kScalarMulMap:
-    case ImplKind::kReluMap:
-    case ImplKind::kSigmoidMap:
-    case ImplKind::kExpMap:
-    case ImplKind::kSoftmaxRowStrips:
-    case ImplKind::kSoftmaxSingle:
-      break;
-    default: return Status::Internal("not a map implementation");
-  }
-
-  // This vertex is a fused-group member (e.g. Relu applied in place
-  // after a matmul base): accounting above stays, payloads transfer
-  // through.
-  if (ctx.opts.passthrough_arg >= 0) return FinishPassthrough(ctx, a);
-
-  const size_t n = a.tuples.size();
-  std::vector<std::shared_ptr<DenseMatrix>> stolen(n);
-  for (size_t i = 0; i < n; ++i) {
-    bool in_place = StealDecision(ctx, a_in, i);
-    if (in_place && ctx.data) stolen[i] = StealPayload(a_in, i);
-    CountElemOutput(ctx, a.tuples[i], in_place);
-  }
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    const double s = ctx.vertex.scalar;
-    std::vector<DenseMatrix> outs(n);
-    ParallelTuples(n, [&](int64_t i) {
-      const DenseMatrix& da = *a.tuples[i].dense;
-      DenseMatrix* dst = stolen[i] ? stolen[i].get() : nullptr;
-      switch (kind) {
-        case ImplKind::kScalarMulMap:
-          dst ? ScalarMulInto(da, s, dst) : void(outs[i] = ScalarMul(da, s));
-          break;
-        case ImplKind::kReluMap:
-          dst ? ReluInto(da, dst) : void(outs[i] = Relu(da));
-          break;
-        case ImplKind::kSigmoidMap:
-          dst ? SigmoidInto(da, dst) : void(outs[i] = Sigmoid(da));
-          break;
-        case ImplKind::kExpMap:
-          dst ? ExpInto(da, dst) : void(outs[i] = Exp(da));
-          break;
-        default:
-          dst ? SoftmaxInto(da, dst) : void(outs[i] = Softmax(da));
-          break;
-      }
-    });
-    for (size_t i = 0; i < n; ++i) {
-      DenseMatrix& out = stolen[i] ? *stolen[i] : outs[i];
-      payloads.emplace(Key(a.tuples[i].r, a.tuples[i].c), std::move(out));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  // A fused-group member (e.g. Relu applied in place after a matmul base)
+  // keeps the accounting above and passes payloads through.
+  if (passthrough_arg >= 0) return PassthroughOutput(ctx);
+  return sparse ? Skeleton(ctx) : ElementwiseOutput(ctx, a_in);
 }
 
 Result<Relation> ExecTranspose(const Ctx& ctx, ImplKind kind,
@@ -865,31 +516,7 @@ Result<Relation> ExecTranspose(const Ctx& ctx, ImplKind kind,
   }
   acct.AddTuples(2.0 * a.tuples.size());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    std::vector<DenseMatrix> outs(a.tuples.size());
-    ParallelTuples(a.tuples.size(), [&](int64_t i) {
-      outs[i] = Transpose(*a.tuples[i].dense);
-    });
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      const EngineTuple& t = a.tuples[i];
-      int64_t out_r = t.c;
-      int64_t out_c = t.r;
-      if (kind == ImplKind::kTransposeRowToCol) {
-        out_r = 0;
-        out_c = t.r;
-      } else if (kind == ImplKind::kTransposeColToRow) {
-        out_r = t.c;
-        out_c = 0;
-      } else if (kind == ImplKind::kTransposeSingle) {
-        out_r = 0;
-        out_c = 0;
-      }
-      payloads.emplace(Key(out_r, out_c), std::move(outs[i]));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 Result<Relation> ExecReduce(const Ctx& ctx, ImplKind kind, const Relation& a) {
@@ -920,55 +547,21 @@ Result<Relation> ExecReduce(const Ctx& ctx, ImplKind kind, const Relation& a) {
     MATOPT_RETURN_IF_ERROR(agg_acct.Commit());
   }
 
-  // Merge accounting is derived from the key collisions alone, so it is
-  // identical in dry-run and data mode: each repeated group key costs one
-  // partial-vector merge (in place when zero-copy, a fresh sum otherwise).
-  const bool zc = ctx.opts.zero_copy;
-  {
-    std::unordered_set<uint64_t> seen;
-    for (const EngineTuple& t : a.tuples) {
-      uint64_t key = row ? Key(t.r, 0) : Key(0, t.c);
-      if (!seen.insert(key).second) {
-        if (zc) {
-          ctx.mem()->bytes_moved += out_tuple_bytes;
-          ++ctx.mem()->inplace_kernels;
-          ++ctx.mem()->allocs_avoided;
-        } else {
-          ctx.mem()->bytes_copied += out_tuple_bytes;
-        }
-      }
+  // Each repeated group key costs one in-place partial-vector merge.
+  std::unordered_set<uint64_t> seen;
+  for (const EngineTuple& t : a.tuples) {
+    if (!seen.insert(row ? TupleKey(t.r, 0) : TupleKey(0, t.c)).second) {
+      ctx.mem()->bytes_moved += out_tuple_bytes;
+      ++ctx.mem()->inplace_kernels;
+      ++ctx.mem()->allocs_avoided;
     }
   }
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    // Per-tuple partial sums in parallel; the cross-tuple aggregation
-    // merges them sequentially in tuple order (same order as before).
-    std::vector<DenseMatrix> parts(a.tuples.size());
-    ParallelTuples(a.tuples.size(), [&](int64_t i) {
-      parts[i] = row ? RowSum(*a.tuples[i].dense) : ColSum(*a.tuples[i].dense);
-    });
-    for (size_t i = 0; i < a.tuples.size(); ++i) {
-      const EngineTuple& t = a.tuples[i];
-      uint64_t key = row ? Key(t.r, 0) : Key(0, t.c);
-      auto it = payloads.find(key);
-      if (it == payloads.end()) {
-        payloads.emplace(key, std::move(parts[i]));
-      } else if (zc) {
-        AddInto(it->second, parts[i], &it->second);
-        parts[i].Recycle();
-      } else {
-        it->second = Add(it->second, parts[i]);
-      }
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  return Skeleton(ctx);
 }
 
 Result<Relation> ExecBroadcastRowAdd(const Ctx& ctx, const ExecInput& a_in,
-                                     const ExecInput& b_in) {
+                                     const Relation& b, int passthrough_arg) {
   const Relation& a = *a_in.rel;
-  const Relation& b = *b_in.rel;
   const EngineTuple& vec = b.tuples[0];
   StageAccountant acct(ctx.cluster, ctx.stats, "broadcast_row_add");
   acct.Broadcast(vec.worker, vec.Bytes(false));
@@ -980,35 +573,10 @@ Result<Relation> ExecBroadcastRowAdd(const Ctx& ctx, const ExecInput& a_in,
   acct.AddTuples(2.0 * a.tuples.size() + ctx.workers());
   MATOPT_RETURN_IF_ERROR(acct.Commit());
 
-  // This vertex is a fused-group member (the bias add ran in place at
-  // the group base): accounting above stays, payloads transfer through.
-  if (ctx.opts.passthrough_arg >= 0) return FinishPassthrough(ctx, a);
-
-  const size_t n = a.tuples.size();
-  std::vector<std::shared_ptr<DenseMatrix>> stolen(n);
-  for (size_t i = 0; i < n; ++i) {
-    bool in_place = StealDecision(ctx, a_in, i);
-    if (in_place && ctx.data) stolen[i] = StealPayload(a_in, i);
-    CountElemOutput(ctx, a.tuples[i], in_place);
-  }
-
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    ChunkDims ad = ChunkDimsFor(a.type, FormatOf(a.format));
-    std::vector<DenseMatrix> outs(n);
-    ParallelTuples(n, [&](int64_t i) {
-      const EngineTuple& t = a.tuples[i];
-      DenseMatrix slice = vec.dense->Block(0, t.c * ad.cols, 1, t.cols);
-      DenseMatrix* dst = stolen[i] ? stolen[i].get() : nullptr;
-      dst ? BroadcastRowAddInto(*t.dense, slice, dst)
-          : void(outs[i] = BroadcastRowAdd(*t.dense, slice));
-    });
-    for (size_t i = 0; i < n; ++i) {
-      DenseMatrix& out = stolen[i] ? *stolen[i] : outs[i];
-      payloads.emplace(Key(a.tuples[i].r, a.tuples[i].c), std::move(out));
-    }
-  }
-  return FinishOutput(ctx, &payloads);
+  // A fused-group member (the bias add ran in place at the group base)
+  // keeps the accounting above and passes payloads through.
+  if (passthrough_arg >= 0) return PassthroughOutput(ctx);
+  return ElementwiseOutput(ctx, a_in);
 }
 
 Result<Relation> ExecInverse(const Ctx& ctx, ImplKind kind,
@@ -1028,14 +596,104 @@ Result<Relation> ExecInverse(const Ctx& ctx, ImplKind kind,
   acct.AddDisk(owner, a.type.DenseBytes());
   acct.AddTuples(static_cast<double>(a.tuples.size()) + 1);
   MATOPT_RETURN_IF_ERROR(acct.Commit());
+  return Skeleton(ctx);
+}
 
-  std::unordered_map<uint64_t, DenseMatrix> payloads;
-  if (ctx.data) {
-    MATOPT_ASSIGN_OR_RETURN(DenseMatrix whole, MaterializeDense(a));
-    MATOPT_ASSIGN_OR_RETURN(DenseMatrix inv, Inverse(whole));
-    payloads.emplace(Key(0, 0), std::move(inv));
+/// The metadata half of ExecuteImpl: accounting, tallies and skeleton.
+Result<Relation> AccountImpl(Ctx& ctx, ImplKind kind,
+                             const std::vector<ExecInput>& args,
+                             int passthrough_arg) {
+  const Relation& a = *args[0].rel;
+  switch (kind) {
+    case ImplKind::kGpuMmSingleSingle:
+      ctx.gpu = true;
+      return ExecMmLocalSingle(ctx, a, *args[1].rel, false);
+    case ImplKind::kGpuMmRowStripsXBcastSingle:
+      ctx.gpu = true;
+      return ExecMmStripsBcastSingle(ctx, a, *args[1].rel, false);
+    case ImplKind::kGpuMmBcastSingleXColStrips:
+      ctx.gpu = true;
+      return ExecMmBcastSingleStrips(ctx, a, *args[1].rel, false);
+    case ImplKind::kGpuInverseSingleLu:
+      ctx.gpu = true;
+      return ExecInverse(ctx, ImplKind::kInverseSingleLu, a);
+    case ImplKind::kMmSingleSingle:
+      return ExecMmLocalSingle(ctx, a, *args[1].rel, false);
+    case ImplKind::kMmSpSingleXSingle:
+      return ExecMmLocalSingle(ctx, a, *args[1].rel, true);
+    case ImplKind::kMmRowStripsXBcastSingle:
+      return ExecMmStripsBcastSingle(ctx, a, *args[1].rel, false);
+    case ImplKind::kMmSpRowStripsXBcastSingle:
+      return ExecMmStripsBcastSingle(ctx, a, *args[1].rel, true);
+    case ImplKind::kMmBcastSingleXColStrips:
+      return ExecMmBcastSingleStrips(ctx, a, *args[1].rel, false);
+    case ImplKind::kMmSpSingleXColStrips:
+      return ExecMmBcastSingleStrips(ctx, a, *args[1].rel, true);
+    case ImplKind::kMmCrossStrips:
+      return ExecMmCrossStrips(ctx, a, *args[1].rel);
+    case ImplKind::kMmTilesShuffle:
+      return ExecMmTiles(ctx, a, *args[1].rel, 0);
+    case ImplKind::kMmBcastTilesXTiles:
+      return ExecMmTiles(ctx, a, *args[1].rel, 1);
+    case ImplKind::kMmTilesXBcastTiles:
+      return ExecMmTiles(ctx, a, *args[1].rel, 2);
+    case ImplKind::kMmColStripsXRowStripsOuterSum:
+      return ExecMmOuterSum(ctx, a, *args[1].rel);
+    case ImplKind::kMmRowStripsXBcastColStrips:
+      return ExecMmStripsBcastColStrips(ctx, a, *args[1].rel);
+    case ImplKind::kMmSpRowStripsXTiles:
+      return ExecMmSpStripsTiles(ctx, a, *args[1].rel);
+    case ImplKind::kAddZip:
+    case ImplKind::kSubZip:
+    case ImplKind::kHadamardZip:
+    case ImplKind::kElemDivZip:
+    case ImplKind::kReluGradZip:
+      return ExecZip(ctx, kind, args[0], passthrough_arg);
+    case ImplKind::kAddSparseZip:
+      return ExecSparseAdd(ctx, a, *args[1].rel);
+    case ImplKind::kScalarMulMap:
+    case ImplKind::kReluMap:
+    case ImplKind::kSigmoidMap:
+    case ImplKind::kExpMap:
+    case ImplKind::kSoftmaxRowStrips:
+    case ImplKind::kSoftmaxSingle:
+      return ExecMap(ctx, kind, args[0], passthrough_arg);
+    case ImplKind::kTransposeSingle:
+    case ImplKind::kTransposeRowToCol:
+    case ImplKind::kTransposeColToRow:
+    case ImplKind::kTransposeTiles:
+      return ExecTranspose(ctx, kind, a);
+    case ImplKind::kRowSumRowStrips:
+    case ImplKind::kRowSumTilesAgg:
+    case ImplKind::kRowSumSingle:
+    case ImplKind::kColSumColStrips:
+    case ImplKind::kColSumTilesAgg:
+    case ImplKind::kColSumSingle:
+      return ExecReduce(ctx, kind, a);
+    case ImplKind::kBroadcastRowAddBcastVec:
+      return ExecBroadcastRowAdd(ctx, args[0], *args[1].rel, passthrough_arg);
+    case ImplKind::kInverseSingleLu:
+    case ImplKind::kInverseGatherLu:
+      return ExecInverse(ctx, kind, a);
   }
-  return FinishOutput(ctx, &payloads);
+  return Status::Internal("unknown implementation kind");
+}
+
+/// Shares the accumulator argument's payloads into a passthrough output.
+Status SharePayloads(const Relation& src, Relation* out) {
+  const TupleMap m = MapTuples(src.tuples);
+  out->has_data = true;
+  for (EngineTuple& t : out->tuples) {
+    auto it = m.find(TupleKey(t.r, t.c));
+    if (it == m.end()) {
+      return Status::Internal("fused passthrough is missing tuple (" +
+                              std::to_string(t.r) + "," +
+                              std::to_string(t.c) + ")");
+    }
+    t.dense = it->second->dense;
+    t.sparse = it->second->sparse;
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -1060,81 +718,21 @@ Result<Relation> ExecuteImpl(const Catalog& catalog, ImplKind kind,
   (void)catalog;
   bool data = true;
   for (const ExecInput& in : args) data = data && in.rel->has_data;
-  Ctx ctx{cluster, stats, vertex, out_format, data};
-  ctx.opts = options;
-  switch (kind) {
-    case ImplKind::kGpuMmSingleSingle:
-      ctx.gpu = true;
-      return ExecMmLocalSingle(ctx, *args[0].rel, *args[1].rel, false);
-    case ImplKind::kGpuMmRowStripsXBcastSingle:
-      ctx.gpu = true;
-      return ExecMmStripsBcastSingle(ctx, *args[0].rel, *args[1].rel, false);
-    case ImplKind::kGpuMmBcastSingleXColStrips:
-      ctx.gpu = true;
-      return ExecMmBcastSingleStrips(ctx, *args[0].rel, *args[1].rel, false);
-    case ImplKind::kGpuInverseSingleLu:
-      ctx.gpu = true;
-      return ExecInverse(ctx, ImplKind::kInverseSingleLu, *args[0].rel);
-    case ImplKind::kMmSingleSingle:
-      return ExecMmLocalSingle(ctx, *args[0].rel, *args[1].rel, false);
-    case ImplKind::kMmSpSingleXSingle:
-      return ExecMmLocalSingle(ctx, *args[0].rel, *args[1].rel, true);
-    case ImplKind::kMmRowStripsXBcastSingle:
-      return ExecMmStripsBcastSingle(ctx, *args[0].rel, *args[1].rel, false);
-    case ImplKind::kMmSpRowStripsXBcastSingle:
-      return ExecMmStripsBcastSingle(ctx, *args[0].rel, *args[1].rel, true);
-    case ImplKind::kMmBcastSingleXColStrips:
-      return ExecMmBcastSingleStrips(ctx, *args[0].rel, *args[1].rel, false);
-    case ImplKind::kMmSpSingleXColStrips:
-      return ExecMmBcastSingleStrips(ctx, *args[0].rel, *args[1].rel, true);
-    case ImplKind::kMmCrossStrips:
-      return ExecMmCrossStrips(ctx, *args[0].rel, *args[1].rel);
-    case ImplKind::kMmTilesShuffle:
-      return ExecMmTiles(ctx, *args[0].rel, *args[1].rel, 0);
-    case ImplKind::kMmBcastTilesXTiles:
-      return ExecMmTiles(ctx, *args[0].rel, *args[1].rel, 1);
-    case ImplKind::kMmTilesXBcastTiles:
-      return ExecMmTiles(ctx, *args[0].rel, *args[1].rel, 2);
-    case ImplKind::kMmColStripsXRowStripsOuterSum:
-      return ExecMmOuterSum(ctx, *args[0].rel, *args[1].rel);
-    case ImplKind::kMmRowStripsXBcastColStrips:
-      return ExecMmStripsBcastColStrips(ctx, *args[0].rel, *args[1].rel);
-    case ImplKind::kMmSpRowStripsXTiles:
-      return ExecMmSpStripsTiles(ctx, *args[0].rel, *args[1].rel);
-    case ImplKind::kAddZip:
-    case ImplKind::kSubZip:
-    case ImplKind::kHadamardZip:
-    case ImplKind::kElemDivZip:
-    case ImplKind::kReluGradZip:
-      return ExecZip(ctx, kind, args[0], args[1]);
-    case ImplKind::kAddSparseZip:
-      return ExecSparseAdd(ctx, *args[0].rel, *args[1].rel);
-    case ImplKind::kScalarMulMap:
-    case ImplKind::kReluMap:
-    case ImplKind::kSigmoidMap:
-    case ImplKind::kExpMap:
-    case ImplKind::kSoftmaxRowStrips:
-    case ImplKind::kSoftmaxSingle:
-      return ExecMap(ctx, kind, args[0]);
-    case ImplKind::kTransposeSingle:
-    case ImplKind::kTransposeRowToCol:
-    case ImplKind::kTransposeColToRow:
-    case ImplKind::kTransposeTiles:
-      return ExecTranspose(ctx, kind, *args[0].rel);
-    case ImplKind::kRowSumRowStrips:
-    case ImplKind::kRowSumTilesAgg:
-    case ImplKind::kRowSumSingle:
-    case ImplKind::kColSumColStrips:
-    case ImplKind::kColSumTilesAgg:
-    case ImplKind::kColSumSingle:
-      return ExecReduce(ctx, kind, *args[0].rel);
-    case ImplKind::kBroadcastRowAddBcastVec:
-      return ExecBroadcastRowAdd(ctx, args[0], args[1]);
-    case ImplKind::kInverseSingleLu:
-    case ImplKind::kInverseGatherLu:
-      return ExecInverse(ctx, kind, *args[0].rel);
+  InPlaceTargets in_place;
+  Ctx ctx{cluster, stats, vertex, out_format, data, /*gpu=*/false, &in_place};
+  MATOPT_ASSIGN_OR_RETURN(
+      Relation out, AccountImpl(ctx, kind, args, options.passthrough_arg));
+  if (!data) return out;
+  if (options.passthrough_arg >= 0) {
+    MATOPT_RETURN_IF_ERROR(
+        SharePayloads(*args[options.passthrough_arg].rel, &out));
+    return out;
   }
-  return Status::Internal("unknown implementation kind");
+  TupleStage stage{kind, &vertex, {}};
+  for (const ExecInput& in : args) stage.args.push_back(in.rel);
+  MATOPT_RETURN_IF_ERROR(ComputeLocal(
+      stage, in_place.empty() ? nullptr : &in_place, false, &out));
+  return out;
 }
 
 namespace {
@@ -1205,14 +803,13 @@ void ApplyFusedGroupChain(const ComputeGraph& graph, const FusedGroup& group,
       if (static_cast<int>(j) == acc) continue;
       info.operand = &live.at(mx.inputs[j]);
       if (info.op != FusedOp::kBiasRowAdd) {
-        info.operand_tuples = MapTuples(*info.operand);
+        info.operand_tuples = MapTuples(info.operand->tuples);
       }
     }
     members.push_back(std::move(info));
   }
   const ChunkDims od = ChunkDimsFor(out->type, BuiltinFormats()[out->format]);
-  ParallelTuples(out->tuples.size(), [&](int64_t i) {
-    EngineTuple& t = out->tuples[i];
+  auto apply = [&](EngineTuple& t) {
     DenseMatrix* acc = std::const_pointer_cast<DenseMatrix>(t.dense).get();
     std::vector<FusedStep> steps(members.size());
     // Bias slices must outlive ApplyFusedChain; reserve so the operand
@@ -1229,19 +826,19 @@ void ApplyFusedGroupChain(const ComputeGraph& graph, const FusedGroup& group,
             0, t.c * od.cols, 1, t.cols));
         steps[k].operand = &slices.back();
       } else if (info.operand != nullptr) {
-        steps[k].operand = info.operand_tuples.at(Key(t.r, t.c))->dense.get();
+        steps[k].operand =
+            info.operand_tuples.at(TupleKey(t.r, t.c))->dense.get();
       }
     }
     ApplyFusedChain(steps, acc);
-  });
+  };
+  ParallelFor(0, static_cast<int64_t>(out->tuples.size()), 1,
+              [&](int64_t i0, int64_t i1) {
+                for (int64_t i = i0; i < i1; ++i) apply(out->tuples[i]);
+              });
 }
 
 }  // namespace
-
-bool PlanExecutor::DefaultZeroCopy() {
-  const char* env = std::getenv("MATOPT_ZERO_COPY");
-  return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-}
 
 bool PlanExecutor::DefaultFusion() { return FusionEnabled(); }
 
@@ -1269,7 +866,7 @@ Result<ExecResult> PlanExecutor::Execute(
     if (all_data) {
       Result<ExecResult> dist_result = dist::ExecuteDistributedPlan(
           catalog_, cluster_, graph, annotation, std::move(inputs),
-          dist_workers_, transport_, zero_copy_, fusion_);
+          dist_workers_, transport_, fusion_);
       if (dist_result.ok()) {
         dist_result.value().stats.kernels =
             KernelCountersDelta(kernels_run_before, KernelCountersSnapshot());
@@ -1301,10 +898,10 @@ Result<ExecResult> PlanExecutor::Execute(
     for (int in : graph.vertex(w).inputs) ++remaining[in];
   }
 
-  // Fused-group consumption (DESIGN.md §15, zero-copy only): the plan's
-  // fused groups run as in-place epilogue chains at their base vertex;
-  // every member becomes a passthrough that charges its normal accounting
-  // but transfers payload pointers. Plans without a fusion plan (hand-
+  // Fused-group consumption (DESIGN.md §15): the plan's fused groups run
+  // as in-place epilogue chains at their base vertex; every member becomes
+  // a passthrough that charges its normal accounting but transfers payload
+  // pointers. Plans without a fusion plan (hand-
   // built annotations, baseline planners) fall back to the detector's
   // maximal chains. Decisions depend only on the graph and annotation, so
   // dry-run and data mode agree. Plan-carried groups were already
@@ -1313,7 +910,7 @@ Result<ExecResult> PlanExecutor::Execute(
   std::unordered_map<int, const FusedGroup*> group_at;  // base v -> group
   std::unordered_map<int, int> passthrough;  // member w -> accumulator arg
   FusionPlan detected;
-  if (fusion_ && zero_copy_) {
+  if (fusion_) {
     const FusionPlan* fusion_plan = &annotation.fusion;
     if (fusion_plan->empty()) {
       detected = DetectFusionPlan(graph, annotation);
@@ -1413,16 +1010,13 @@ Result<ExecResult> PlanExecutor::Execute(
         attach_stage(kernels_before, mem_before);
         track(transformed[j], +1.0);
         arg_inputs[j].rel = &transformed[j];
-        if (zero_copy_) arg_inputs[j].owned = &transformed[j];
+        arg_inputs[j].owned = &transformed[j];
       } else {
         arg_inputs[j].rel = &src;
-        if (zero_copy_ && remaining[vx.inputs[j]] == 1) {
-          arg_inputs[j].owned = &src;
-        }
+        if (remaining[vx.inputs[j]] == 1) arg_inputs[j].owned = &src;
       }
     }
     ExecOptions opts;
-    opts.zero_copy = zero_copy_;
     if (auto pit = passthrough.find(v); pit != passthrough.end()) {
       opts.passthrough_arg = pit->second;
     }
@@ -1451,13 +1045,13 @@ Result<ExecResult> PlanExecutor::Execute(
     for (size_t j = 0; j < vx.inputs.size(); ++j) {
       if (va.input_edges[j].transform.has_value()) {
         track(transformed[j], -1.0);  // transformed copies die immediately
-        if (zero_copy_) RecycleRelation(&transformed[j]);
+        RecycleRelation(&transformed[j]);
       }
     }
     for (int in : vx.inputs) {
       if (--remaining[in] == 0) {
         track(live.at(in), -1.0);
-        if (zero_copy_) RecycleRelation(&live.at(in));
+        RecycleRelation(&live.at(in));
         live.erase(in);
       }
     }

@@ -46,19 +46,13 @@ class PlanExecutor {
   Result<ExecResult> DryRun(const ComputeGraph& graph,
                             const Annotation& annotation) const;
 
-  /// Toggles the zero-copy memory layer (payload stealing, in-place and
-  /// fused kernels, view accumulation). Defaults to on unless the
-  /// MATOPT_ZERO_COPY environment variable is set to 0. Results are
-  /// bit-identical either way; only local memory traffic changes.
-  void set_zero_copy(bool enabled) { zero_copy_ = enabled; }
-  bool zero_copy() const { return zero_copy_; }
+  /// Accepted for source compatibility and ignored: execution always
+  /// steals dying payloads, runs in-place kernels and accumulates into
+  /// views (DESIGN.md §10).
+  void set_zero_copy(bool) {}
 
-  /// Process default for new executors (MATOPT_ZERO_COPY env, on unless
-  /// set to 0).
-  static bool DefaultZeroCopy();
-
-  /// Toggles fused-group execution (DESIGN.md §15): when on (and zero-copy
-  /// is on), the plan's fused groups — or, for plans without one, the
+  /// Toggles fused-group execution (DESIGN.md §15): when on, the plan's
+  /// fused groups — or, for plans without one, the
   /// detector's maximal chains — run as in-place epilogue chains over the
   /// base's output and members pass payloads through. Results are
   /// bit-identical either way; only materialized bytes change.
@@ -92,7 +86,6 @@ class PlanExecutor {
  private:
   const Catalog& catalog_;
   const ClusterConfig& cluster_;
-  bool zero_copy_ = DefaultZeroCopy();
   bool fusion_ = DefaultFusion();
   int dist_workers_ = DefaultDistWorkers();
   dist::Transport* transport_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "engine/tuple_compute.h"
+
 namespace matopt {
 
 namespace {
@@ -10,10 +12,9 @@ const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
 
 }  // namespace
 
-Result<Relation> ExecuteTransform(const Catalog& catalog, TransformKind kind,
-                                  const Relation& input,
-                                  const ClusterConfig& cluster,
-                                  ExecStats* stats) {
+Result<Relation> TransformSkeleton(const Catalog& catalog, TransformKind kind,
+                                   const Relation& input,
+                                   const ClusterConfig& cluster) {
   ArgInfo arg{input.type, input.format, input.sparsity};
   auto target = catalog.TransformOutputFormat(kind, arg, cluster);
   if (!target.has_value()) {
@@ -21,8 +22,18 @@ Result<Relation> ExecuteTransform(const Catalog& catalog, TransformKind kind,
                              TransformKindName(kind) +
                              " is infeasible for this relation");
   }
-  const Format& out_fmt = FormatOf(*target);
-  double out_sparsity = out_fmt.sparse() ? input.sparsity : 1.0;
+  double out_sparsity = FormatOf(*target).sparse() ? input.sparsity : 1.0;
+  return MakeDryRelation(input.type, *target, out_sparsity, cluster);
+}
+
+Result<Relation> ExecuteTransform(const Catalog& catalog, TransformKind kind,
+                                  const Relation& input,
+                                  const ClusterConfig& cluster,
+                                  ExecStats* stats) {
+  MATOPT_ASSIGN_OR_RETURN(Relation out,
+                          TransformSkeleton(catalog, kind, input, cluster));
+  const Format& out_fmt = FormatOf(out.format);
+  const double out_sparsity = out.sparsity;
 
   // Accounting: a transformation repartitions every source tuple (worst
   // case all bytes cross the network) and materializes the target tuples.
@@ -63,17 +74,15 @@ Result<Relation> ExecuteTransform(const Catalog& catalog, TransformKind kind,
   }
   MATOPT_RETURN_IF_ERROR(acct.Commit());
 
-  // Data path: reassemble and re-chunk. (At test scale this is exact; in
-  // dry-run mode only the metadata relation is produced.)
-  if (!input.has_data) {
-    return MakeDryRelation(input.type, *target, out_sparsity, cluster);
+  // Data mode re-chunks through the tuple-compute table's transformation
+  // entry; a sparse target reports its measured sparsity.
+  if (input.has_data) {
+    MATOPT_RETURN_IF_ERROR(ComputeLocal(TupleStage{std::nullopt, nullptr,
+                                                   {&input}},
+                                        nullptr, /*measure_sparsity=*/true,
+                                        &out));
   }
-  if (out_fmt.sparse()) {
-    MATOPT_ASSIGN_OR_RETURN(SparseMatrix sparse, MaterializeSparse(input));
-    return MakeSparseRelation(sparse, *target, cluster);
-  }
-  MATOPT_ASSIGN_OR_RETURN(DenseMatrix dense, MaterializeDense(input));
-  return MakeRelation(dense, *target, cluster);
+  return out;
 }
 
 }  // namespace matopt

@@ -21,6 +21,13 @@ Result<Relation> ExecuteTransform(const Catalog& catalog, TransformKind kind,
                                   const ClusterConfig& cluster,
                                   ExecStats* stats);
 
+/// The output relation's metadata of a transformation: `input`'s type
+/// chunked in the target format. TypeError when the transformation is
+/// infeasible for `input`.
+Result<Relation> TransformSkeleton(const Catalog& catalog, TransformKind kind,
+                                   const Relation& input,
+                                   const ClusterConfig& cluster);
+
 /// One argument of an atomic computation implementation. `rel` is always
 /// set; `owned` additionally points at the same relation when the plan
 /// proved its producer is dead after this edge (single remaining
@@ -31,16 +38,9 @@ struct ExecInput {
   Relation* owned = nullptr;
 };
 
-/// Per-call execution options for the zero-copy memory layer. The
-/// defaults give the zero-copy behaviour with no fusion; a
-/// default-constructed ExecOptions is what the compatibility ExecuteImpl
-/// overload uses. Every option changes only where bytes live — results
-/// stay bit-identical.
+/// Per-call execution options. A default-constructed ExecOptions (no
+/// fusion) is what the compatibility ExecuteImpl overload uses.
 struct ExecOptions {
-  /// Master switch: false restores the copy-everything paths (fresh
-  /// output per kernel, Block/SetBlock round-trips) for A/B comparison.
-  bool zero_copy = true;
-
   /// >= 0 when this vertex is a fused-group member (DESIGN.md §15): its
   /// value was already applied in place over the group base's output, so
   /// the vertex charges its normal accounting but passes through arg
@@ -59,9 +59,10 @@ Result<Relation> ExecuteImpl(const Catalog& catalog, ImplKind kind,
                              const ClusterConfig& cluster, ExecStats* stats);
 
 /// Move-aware overload: arguments carry ownership information and
-/// `options` selects zero-copy behaviour and fused-member passthrough.
-/// The plain overload forwards here with default options and no owned
-/// arguments.
+/// `options` selects fused-member passthrough. The plain overload forwards
+/// here with default options and no owned arguments. The accounting runs
+/// on metadata alone; data-mode payloads come from the tuple-compute table
+/// (engine/tuple_compute.h).
 Result<Relation> ExecuteImpl(const Catalog& catalog, ImplKind kind,
                              FormatId out_format,
                              const std::vector<ExecInput>& args,

@@ -53,6 +53,11 @@ struct Relation {
   std::vector<double> WorkerBytes(int num_workers) const;
 };
 
+/// Chunk key of tuple (r, c), unique within a relation.
+inline uint64_t TupleKey(int64_t r, int64_t c) {
+  return (static_cast<uint64_t>(r) << 32) | static_cast<uint64_t>(c);
+}
+
 /// Deterministic worker placement by chunk key.
 int WorkerFor(int64_t r, int64_t c, int num_workers);
 

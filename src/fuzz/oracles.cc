@@ -87,7 +87,6 @@ int NumOpVertices(const ComputeGraph& graph) {
 struct RunConfig {
   std::string label;
   int threads = 1;
-  bool zero_copy = true;
   bool pool = true;
   int dist_workers = 0;  // 0 = single-node path
   bool simd = true;      // false forces the scalar kernel path
@@ -112,7 +111,6 @@ Result<RunOutput> RunPlan(const FuzzProgram& program,
     OverrideSimdEnabled(false);
   }
   PlanExecutor executor(catalog, cluster);
-  executor.set_zero_copy(config.zero_copy);
   executor.set_fusion(config.fusion);
   // Always pin the worker count so a MATOPT_WORKERS environment override
   // cannot silently turn the baseline runs distributed.
@@ -296,7 +294,7 @@ OracleReport RunOracles(const FuzzProgram& program, const Catalog& catalog,
     return report;
   }
 
-  const RunConfig baseline_config = {"baseline", options.threads, true, true};
+  const RunConfig baseline_config = {"baseline", options.threads, true};
   auto baseline =
       RunPlan(program, annotation, catalog, cluster, relations.value(),
               baseline_config);
@@ -330,12 +328,11 @@ OracleReport RunOracles(const FuzzProgram& program, const Catalog& catalog,
   // --- 4. Determinism contracts -------------------------------------------
   if (options.check_determinism) {
     std::vector<RunConfig> variants = {
-        {"one_thread", 1, true, true},
-        {"zero_copy_off", options.threads, false, true},
-        {"pool_off", options.threads, true, false},
+        {"one_thread", 1, true},
+        {"pool_off", options.threads, false},
         // Fused-group execution changes only where bytes live: sinks and
         // the simulated accounting must be bit-identical with fusion off.
-        {"fusion_off", options.threads, true, true, /*dist_workers=*/0,
+        {"fusion_off", options.threads, true, /*dist_workers=*/0,
          /*simd=*/true, /*fusion=*/false},
     };
     // Kernel-dispatch boundary: forcing the scalar kernels must reproduce
@@ -343,7 +340,7 @@ OracleReport RunOracles(const FuzzProgram& program, const Catalog& catalog,
     // when no SIMD path exists — the A/B would compare scalar to scalar.
     if (SimdCompiled() && SimdSupportedByCpu()) {
       variants.push_back(
-          {"simd_off", options.threads, true, true, /*dist_workers=*/0,
+          {"simd_off", options.threads, true, /*dist_workers=*/0,
            /*simd=*/false});
     }
     for (const RunConfig& config : variants) {
@@ -633,8 +630,7 @@ OracleReport RunOracles(const FuzzProgram& program, const Catalog& catalog,
       if (map_ok) {
         FuzzProgram rw_program;
         rw_program.graph = rw_plan.graph;
-        const RunConfig config = {"rewrite_exec", options.threads, true,
-                                  true};
+        const RunConfig config = {"rewrite_exec", options.threads, true};
         auto rw_run = RunPlan(rw_program, rw_plan.plan.annotation, catalog,
                               cluster, remapped, config);
         if (!rw_run.ok()) {
@@ -751,8 +747,7 @@ OracleReport RunOracles(const FuzzProgram& program, const Catalog& catalog,
           if (!scaled_relations.ok()) {
             fail("serve_reuse", scaled_relations.status().ToString());
           } else {
-            const RunConfig config = {"serve_reuse", options.threads, true,
-                                      true};
+            const RunConfig config = {"serve_reuse", options.threads, true};
             auto reused = RunPlan(scaled_program, annotation, catalog,
                                   cluster, scaled_relations.value(), config);
             auto reference = EvaluateReference(

@@ -46,7 +46,7 @@ struct OracleOptions {
   bool check_tree_dp = true;
   bool check_brute_force = true;
   bool check_reference = true;
-  // 1 thread / zero-copy off / pool off / simd off (scalar kernels) /
+  // 1 thread / pool off / simd off (scalar kernels) /
   // fusion off (no fused-group execution)
   bool check_determinism = true;
   bool check_dry_run = true;
@@ -127,8 +127,8 @@ struct OracleReport {
 ///      must agree with the frontier cost.
 ///   3. The executed plan must match the naive reference interpreter.
 ///   4. Execution must be bit-identical and charge identical simulated
-///      stats across 1 vs N threads, zero-copy on/off, pool on/off, and
-///      fusion on/off.
+///      stats across 1 vs N threads, pool on/off, SIMD on/off, and fusion
+///      on/off.
 ///   5. Dry-run stat projections must match data-mode accounting.
 ///   6. Every measured per-vertex density must lie inside the sound
 ///      dataflow interval seeded with the measured input densities.

@@ -16,7 +16,7 @@ namespace matopt {
 /// each output element accumulates its terms in ascending-k order, one
 /// multiply followed by one add per term (no FMA contraction) — so the
 /// two paths are bit-identical and the knob is output-invariant, like
-/// MATOPT_THREADS / MATOPT_ZERO_COPY / MATOPT_POOL.
+/// MATOPT_THREADS / MATOPT_POOL.
 
 /// True when la/kernels_simd.cc was built with AVX2 support.
 bool SimdCompiled();

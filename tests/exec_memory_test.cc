@@ -1,7 +1,7 @@
-// Tests for the zero-copy execution memory layer: buffer-pool recycling,
-// in-place and fused kernel bit-equivalence, view accumulation, and
-// move-path vs copy-path bit-identity of whole executor runs at several
-// thread counts.
+// Tests for the execution memory layer: buffer-pool recycling, in-place
+// and fused kernel bit-equivalence, view accumulation, and bit-identity of
+// whole executor runs (payload stealing, in-place kernels, fused chains)
+// against freshly allocated sharded outputs at several thread counts.
 
 #include <gtest/gtest.h>
 
@@ -313,8 +313,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, KernelEquivalenceTest,
                          ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------
-// Whole-executor bit-identity: move paths vs copy paths, across thread
-// counts, on the paper workloads.
+// Whole-executor bit-identity across thread counts on the paper workloads.
+// The reference is a one-worker sharded run: its outputs are freshly
+// allocated (no stealing, no in-place kernels, no fused chains), so the
+// single-node runs' in-place *Into kernels are checked against fresh ones.
 
 struct ExecOutcome {
   ExecStats stats;
@@ -323,10 +325,10 @@ struct ExecOutcome {
 
 ExecOutcome RunWorkload(const ComputeGraph& graph, const Annotation& plan,
                         const Catalog& catalog, const ClusterConfig& cluster,
-                        bool zero_copy, int threads) {
+                        int threads, int dist_workers = 0) {
   ThreadPool::SetDefaultThreads(threads);
   PlanExecutor executor(catalog, cluster);
-  executor.set_zero_copy(zero_copy);
+  executor.set_dist_workers(dist_workers);
   std::unordered_map<int, Relation> relations;
   for (int v = 0; v < graph.num_vertices(); ++v) {
     const Vertex& vx = graph.vertex(v);
@@ -352,25 +354,22 @@ void ExpectBitIdentical(const ComputeGraph& graph, const Catalog& catalog,
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 
   ExecOutcome reference = RunWorkload(graph, plan.value().annotation, catalog,
-                                      cluster, /*zero_copy=*/false, 1);
+                                      cluster, 1, /*dist_workers=*/1);
   ASSERT_FALSE(reference.sinks.empty());
   for (int threads : {1, 4}) {
-    for (bool zero_copy : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " zero_copy=" + std::to_string(zero_copy));
-      ExecOutcome run = RunWorkload(graph, plan.value().annotation, catalog,
-                                    cluster, zero_copy, threads);
-      ASSERT_EQ(run.sinks.size(), reference.sinks.size());
-      for (const auto& [sink, m] : reference.sinks) {
-        ASSERT_TRUE(run.sinks.count(sink));
-        EXPECT_TRUE(run.sinks.at(sink) == m);
-      }
-      // The simulated accounting never depends on the memory layer.
-      EXPECT_DOUBLE_EQ(run.stats.sim_seconds, reference.stats.sim_seconds);
-      EXPECT_DOUBLE_EQ(run.stats.flops, reference.stats.flops);
-      EXPECT_DOUBLE_EQ(run.stats.net_bytes, reference.stats.net_bytes);
-      EXPECT_DOUBLE_EQ(run.stats.tuples, reference.stats.tuples);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExecOutcome run =
+        RunWorkload(graph, plan.value().annotation, catalog, cluster, threads);
+    ASSERT_EQ(run.sinks.size(), reference.sinks.size());
+    for (const auto& [sink, m] : reference.sinks) {
+      ASSERT_TRUE(run.sinks.count(sink));
+      EXPECT_TRUE(run.sinks.at(sink) == m);
     }
+    // The simulated accounting never depends on where payloads live.
+    EXPECT_DOUBLE_EQ(run.stats.sim_seconds, reference.stats.sim_seconds);
+    EXPECT_DOUBLE_EQ(run.stats.flops, reference.stats.flops);
+    EXPECT_DOUBLE_EQ(run.stats.net_bytes, reference.stats.net_bytes);
+    EXPECT_DOUBLE_EQ(run.stats.tuples, reference.stats.tuples);
   }
 }
 
@@ -425,16 +424,14 @@ TEST_F(ExecMemoryTest, ReluGradHadamardFusionFiresAndMatchesKernels) {
   ASSERT_TRUE(plan.ok());
 
   ExecOutcome fused = RunWorkload(graph.value(), plan.value().annotation,
-                                  catalog_, cluster_, /*zero_copy=*/true, 1);
-  ExecOutcome plain = RunWorkload(graph.value(), plan.value().annotation,
-                                  catalog_, cluster_, /*zero_copy=*/false, 1);
+                                  catalog_, cluster_, 1);
   EXPECT_GT(fused.stats.memory.fused_kernels, 0);
   EXPECT_GT(fused.stats.memory.moved_payloads, 0);
-  EXPECT_EQ(plain.stats.memory.fused_kernels, 0);
-  ASSERT_EQ(fused.sinks.size(), plain.sinks.size());
-  for (const auto& [sink, matrix] : plain.sinks) {
-    EXPECT_TRUE(fused.sinks.at(sink) == matrix);
-  }
+  // Recorded figures: the ReluGrad member runs in place over its dying
+  // operand and the Hadamard passes its payload through.
+  EXPECT_EQ(fused.stats.memory.bytes_copied, 0.0);
+  EXPECT_EQ(fused.stats.memory.bytes_moved, 480000.0);
+  EXPECT_EQ(fused.stats.memory.allocs_avoided, 1);
 
   // Cross-check against the raw kernels.
   DenseMatrix mz = GaussianMatrix(200, 300, 400 + z);
@@ -457,25 +454,21 @@ TEST_F(ExecMemoryTest, ZeroCopyRunReportsReuseAndPoolTraffic) {
   auto plan = Optimize(graph.value(), catalog_, model, cluster_);
   ASSERT_TRUE(plan.ok());
 
-  ExecOutcome off = RunWorkload(graph.value(), plan.value().annotation,
-                                catalog_, cluster_, /*zero_copy=*/false, 1);
-  // First zero-copy run warms the pool; the second run recycles.
-  RunWorkload(graph.value(), plan.value().annotation, catalog_, cluster_,
-              /*zero_copy=*/true, 1);
+  // The first run warms the pool; the second run recycles.
+  RunWorkload(graph.value(), plan.value().annotation, catalog_, cluster_, 1);
   ExecOutcome on = RunWorkload(graph.value(), plan.value().annotation,
-                               catalog_, cluster_, /*zero_copy=*/true, 1);
+                               catalog_, cluster_, 1);
 
-  EXPECT_GT(on.stats.memory.allocs_avoided, 0);
   EXPECT_GT(on.stats.memory.inplace_kernels, 0);
-  EXPECT_GT(on.stats.memory.bytes_moved, 0.0);
-  EXPECT_LT(on.stats.memory.bytes_copied,
-            0.75 * off.stats.memory.bytes_copied);
+  // Recorded figures of this plan; the memory tallies are shape-derived,
+  // so any change means payloads are copied or reused differently.
+  EXPECT_EQ(on.stats.memory.bytes_copied, 1572864.0);
+  EXPECT_EQ(on.stats.memory.bytes_moved, 1593344.0);
+  EXPECT_EQ(on.stats.memory.allocs_avoided, 4);
   if (BufferPool::Enabled()) {
     EXPECT_GT(on.stats.memory.pool_hits, 0);
     EXPECT_GT(on.stats.memory.pool_bytes_recycled, 0);
   }
-  EXPECT_EQ(off.stats.memory.allocs_avoided, 0);
-  EXPECT_EQ(off.stats.memory.bytes_moved, 0.0);
 }
 
 TEST_F(ExecMemoryTest, DryRunProjectsTheSameDeterministicMemoryStats) {
@@ -492,11 +485,10 @@ TEST_F(ExecMemoryTest, DryRunProjectsTheSameDeterministicMemoryStats) {
 
   ThreadPool::SetDefaultThreads(1);
   PlanExecutor executor(catalog_, cluster_);
-  executor.set_zero_copy(true);
   auto dry = executor.DryRun(graph.value(), plan.value().annotation);
   ASSERT_TRUE(dry.ok());
   ExecOutcome data = RunWorkload(graph.value(), plan.value().annotation,
-                                 catalog_, cluster_, /*zero_copy=*/true, 1);
+                                 catalog_, cluster_, 1);
   // The deterministic fields (not the pool counters) are a projection:
   // dry-run assumes every planned steal succeeds, so its reuse tally
   // bounds data mode from above and its copy tally from below (a steal

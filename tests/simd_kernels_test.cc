@@ -105,8 +105,8 @@ TEST(SimdGemmTest, DispatchBitIdenticalAcrossThreadCounts) {
 TEST(SimdGemmTest, ShardStyleStridedOutputBitIdenticalAtWorkerCounts) {
   if (!SimdAvailable()) GTEST_SKIP() << "no SIMD path in this build/CPU";
   KnobGuard guard;
-  // The shard kernels (ShardConcatGemm) write each worker's rows through
-  // a strided DenseBlockView of the concatenated output. Emulate that
+  // The tuple-compute table's strip matmuls write each worker's rows
+  // through a strided DenseBlockView of the concatenated output. Emulate that
   // row partition at the dist worker counts and require bit-identity
   // with the unsharded scalar result.
   const int64_t m = 97, k = 64, n = 21;
