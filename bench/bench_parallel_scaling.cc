@@ -3,6 +3,8 @@
 // 1/2/4/8 threads. Real wall-clock (not simulated) seconds; emits
 // BENCH_parallel.json next to the human-readable table. On a single-core
 // host the sweep degenerates to measuring the parallel paths' overhead.
+// The frontier DP is sequential (DESIGN.md §8), so its row is expected to
+// stay near 1.0x: it shows that the pool width does not slow planning.
 
 #include <cstdio>
 #include <string>

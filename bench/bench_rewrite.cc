@@ -8,7 +8,9 @@
 // programs then run both plans for real: every sink must match the naive
 // reference interpreter within the accumulation tolerance, and exact
 // rewrite chains must be bit-identical to the original under the
-// chunking-free reference semantics. Emits BENCH_rewrite.json.
+// chunking-free reference semantics. Emits BENCH_rewrite.json, with the
+// wall time of each rewrite-aware search (`plan_off_seconds`,
+// `plan_on_seconds`: RewrittenPlan::search_seconds) next to execution.
 // Self-checking: exits 2 on any value mismatch, 1 on any cost-contract
 // violation. `--quick` runs one repetition at reduced sizes for CI smoke.
 
@@ -190,6 +192,8 @@ int main(int argc, char** argv) {
     double chosen_cost = 0.0;
     double off_seconds = -1.0;
     double on_seconds = -1.0;
+    double plan_off_seconds = 0.0;
+    double plan_on_seconds = 0.0;
     bool values_ok = true;
   };
   std::vector<Row> rows;
@@ -197,9 +201,9 @@ int main(int argc, char** argv) {
   bool values_ok = true;
 
   std::printf("Logical-rewriter A/B (MATOPT_REWRITE off vs on)\n");
-  std::printf("%-20s %5s %9s %6s %14s %14s %12s %9s %9s  %s\n", "workload",
-              "cands", "rewritten", "exact", "baseline", "chosen", "delta",
-              "off_s", "on_s", "chain");
+  std::printf("%-20s %5s %9s %6s %14s %14s %12s %9s %9s %9s  %s\n",
+              "workload", "cands", "rewritten", "exact", "baseline", "chosen",
+              "delta", "plan_on_s", "off_s", "on_s", "chain");
 
   for (const Workload& w : workloads) {
     Row row;
@@ -225,6 +229,8 @@ int main(int argc, char** argv) {
     row.chain = chosen.ChainString();
     row.baseline_cost = chosen.baseline_cost;
     row.chosen_cost = chosen.plan.fused_cost;
+    row.plan_off_seconds = off.value().search_seconds;
+    row.plan_on_seconds = chosen.search_seconds;
 
     // Cost contract: knob-off reproduces the baseline; the chosen plan
     // never exceeds it; strict-win workloads must actually improve.
@@ -325,11 +331,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::printf("%-20s %5d %9s %6s %14.6g %14.6g %12.6g %9s %9s  %s\n",
+    std::printf("%-20s %5d %9s %6s %14.6g %14.6g %12.6g %9.3f %9s %9s  %s\n",
                 row.workload.c_str(), row.candidates,
                 row.rewritten ? "yes" : "no", row.exact ? "yes" : "no",
                 row.baseline_cost, row.chosen_cost,
-                row.baseline_cost - row.chosen_cost,
+                row.baseline_cost - row.chosen_cost, row.plan_on_seconds,
                 row.off_seconds < 0 ? "-"
                                     : std::to_string(row.off_seconds).c_str(),
                 row.on_seconds < 0 ? "-"
@@ -357,10 +363,12 @@ int main(int argc, char** argv) {
         "    {\"workload\": \"%s\", \"candidates\": %d, \"budget_hit\": %s, "
         "\"rewritten\": %s, \"exact\": %s, \"baseline_cost\": %.6f, "
         "\"chosen_cost\": %.6f, \"off_seconds\": %.6f, \"on_seconds\": %.6f, "
+        "\"plan_off_seconds\": %.6f, \"plan_on_seconds\": %.6f, "
         "\"values_ok\": %s, \"chain\": \"%s\"}%s\n",
         r.workload.c_str(), r.candidates, r.budget_hit ? "true" : "false",
         r.rewritten ? "true" : "false", r.exact ? "true" : "false",
         r.baseline_cost, r.chosen_cost, r.off_seconds, r.on_seconds,
+        r.plan_off_seconds, r.plan_on_seconds,
         r.values_ok ? "true" : "false", JsonEscape(r.chain).c_str(),
         i + 1 == rows.size() ? "" : ",");
   }

@@ -124,9 +124,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== optimized physical plan (predicted %s, optimized in "
-              "%.2f s) ===\n%s\n",
-              FormatHms(plan.cost).c_str(), plan.opt_seconds,
+  // The search time is the whole rewrite-aware search; the winner's own
+  // search is only one of the candidates planned.
+  const int candidates = rewritten.value().candidates_considered;
+  std::printf("=== optimized physical plan (predicted %s, searched %d "
+              "candidate%s in %.2f s, winner %.2f s) ===\n",
+              FormatHms(plan.cost).c_str(), candidates,
+              candidates == 1 ? "" : "s", rewritten.value().search_seconds,
+              plan.opt_seconds);
+  std::printf("beam_pruned=%s (%d vertices hit the %lld-entry table cap%s)\n"
+              "%s\n",
+              plan.beam_pruned ? "true" : "false", plan.beam_pruned_vertices,
+              static_cast<long long>(OptimizerOptions{}.max_table_entries),
+              plan.beam_pruned ? "; best within beam, not proven optimal" : "",
               plan.annotation.ToString(graph).c_str());
 
   PlanExecutor executor(catalog, cluster);

@@ -39,6 +39,7 @@ const std::vector<EnvKnob>& MatoptEnvKnobs() {
       {"MATOPT_SERVE_CACHE_ENTRIES", EnvKnob::Kind::kInt, 1, 1 << 20},
       {"MATOPT_SERVE_SOCKET", EnvKnob::Kind::kString, 0, 0},
       {"MATOPT_BENCH_DIR", EnvKnob::Kind::kString, 0, 0},
+      {"MATOPT_FRONTIER_DEBUG", EnvKnob::Kind::kBool, 0, 0},
   };
   return kKnobs;
 }
@@ -64,6 +65,11 @@ Status ValidateMatoptEnv() {
     }
   }
   return Status::OK();
+}
+
+bool EnvFlag(const char* name) {
+  const char* value = std::getenv(name);
+  return value != nullptr && std::string(value) == "1";
 }
 
 std::optional<int64_t> EnvIntOrNull(const char* name, int64_t min_value,

@@ -50,6 +50,10 @@ const std::vector<EnvKnob>& MatoptEnvKnobs();
 /// when available) are not checked — the registry is the contract.
 Status ValidateMatoptEnv();
 
+/// Lenient boolean read for library switches that default to off: true
+/// only when the knob is set to exactly "1".
+bool EnvFlag(const char* name);
+
 /// Lenient integer read for library defaults: the knob's value when set
 /// and parseable within [min_value, max_value], nullopt otherwise.
 std::optional<int64_t> EnvIntOrNull(const char* name, int64_t min_value,

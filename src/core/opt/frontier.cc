@@ -1,19 +1,20 @@
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "analysis/analyze.h"
+#include "common/env.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/fusion/fusion.h"
 #include "core/opt/enumerate.h"
 #include "core/opt/optimizer.h"
+#include "core/opt/search_memo.h"
 
 namespace matopt {
 
@@ -66,16 +67,18 @@ Key128 EncodeFormat(Key128 key, int index, FormatId fmt) {
 
 /// One entry of an equivalence-class cost table: the minimum cost to
 /// compute every member with the output formats in the entry's key, plus
-/// inline backpointers (arity and predecessor count are at most 2).
+/// inline backpointers (predecessor count is at most 2). `delta` is the
+/// creating vertex's (implementation, edges, output format) choice; it
+/// points into the search's SearchMemo, which outlives every table.
+/// `preds` point at the entries of the merged classes this one extends:
+/// tables are never modified once built and hash-map nodes never move.
 struct ClassEntry {
   double cost = kInf;
+  int64_t rank = 0;     // enumeration rank within its expansion (below)
   int32_t vertex = -1;  // op vertex whose processing created this entry
-  ImplKind impl = ImplKind::kMmSingleSingle;
-  FormatId out_format = kNoFormat;
-  uint8_t arity = 0;
   uint8_t num_preds = 0;
-  std::array<EdgeAnnotation, 2> edges{};
-  std::array<std::pair<int32_t, Key128>, 2> preds{};
+  const FrontierDelta* delta = nullptr;
+  std::array<const ClassEntry*, 2> preds{};
 };
 
 /// Joint cost table F(V, p) for one equivalence class V (Section 6.1).
@@ -90,6 +93,107 @@ struct ClassTable {
   }
 };
 
+/// Memo key of a value that depends on a matrix's shape and sparsity: the
+/// shape and the sparsity's exact bit pattern.
+void AppendTypeKey(const Vertex& vx, std::vector<uint64_t>* key) {
+  key->push_back(vx.type.shape.size());
+  for (int64_t s : vx.type.shape) key->push_back(static_cast<uint64_t>(s));
+  uint64_t bits = 0;
+  std::memcpy(&bits, &vx.sparsity, sizeof(bits));
+  key->push_back(bits);
+}
+
+/// Every finite FrontierDelta of op vertex `v`, given its arguments'
+/// transformation tables.
+///
+/// The (implementation, pouts, out, impl_cost) choices depend only on the
+/// pouts, so they are enumerated once, over every pout some enabled pin
+/// reaches, and then replayed for each pin combination with the pouts that
+/// pin cannot reach skipped. The filtered replay visits the same choices
+/// in the same order as enumerating per pin combination, and sums each
+/// cost the same way, so every strict-< winner is the same.
+std::unique_ptr<const VertexDeltas> ComputeDeltas(
+    const ComputeGraph& graph, int v, const Catalog& catalog,
+    const CostModel& model, const ClusterConfig& cluster,
+    const OptimizerOptions& options,
+    const std::vector<const TransformTable*>& tts) {
+  const int num_formats = static_cast<int>(BuiltinFormats().size());
+  const size_t arity = tts.size();
+  std::vector<std::vector<FormatId>> pout_union(arity);
+  for (size_t j = 0; j < arity; ++j) {
+    for (FormatId pout = 0; pout < num_formats; ++pout) {
+      for (FormatId pin = 0; pin < num_formats; ++pin) {
+        if (catalog.FormatEnabled(pin) && tts[j]->Get(pin, pout).feasible) {
+          pout_union[j].push_back(pout);
+          break;
+        }
+      }
+    }
+  }
+  struct Choice {
+    ImplKind impl;
+    FormatId out;
+    std::array<FormatId, 2> pouts;
+    double impl_cost;
+  };
+  std::vector<Choice> choices;
+  ForEachImplChoice(graph, v, catalog, model, cluster, options, pout_union,
+                    [&](ImplKind impl, const std::vector<FormatId>& pouts,
+                        FormatId out, double impl_cost) {
+                      Choice c{impl, out, {kNoFormat, kNoFormat}, impl_cost};
+                      for (size_t j = 0; j < arity; ++j) c.pouts[j] = pouts[j];
+                      choices.push_back(c);
+                    });
+
+  auto result = std::make_unique<VertexDeltas>();
+  int64_t pin_combos = 1;
+  for (size_t j = 0; j < arity; ++j) pin_combos *= num_formats;
+  result->combo_begin.reserve(pin_combos + 1);
+  std::vector<FrontierDelta> best(num_formats);
+  std::array<FormatId, 2> pins{};
+  for (int64_t combo = 0; combo < pin_combos; ++combo) {
+    result->combo_begin.push_back(
+        static_cast<int32_t>(result->deltas.size()));
+    int64_t rem = combo;
+    bool pins_ok = true;
+    for (size_t j = 0; j < arity; ++j) {
+      pins[j] = static_cast<FormatId>(rem % num_formats);
+      rem /= num_formats;
+      if (!catalog.FormatEnabled(pins[j])) pins_ok = false;
+    }
+    if (!pins_ok) continue;
+    for (FrontierDelta& d : best) d.cost = kInf;
+    for (const Choice& c : choices) {
+      bool reachable = true;
+      for (size_t j = 0; j < arity; ++j) {
+        reachable = reachable && tts[j]->Get(pins[j], c.pouts[j]).feasible;
+      }
+      if (!reachable) continue;
+      ++result->states;
+      double cost = c.impl_cost;
+      for (size_t j = 0; j < arity; ++j) {
+        cost += tts[j]->Get(pins[j], c.pouts[j]).cost;
+      }
+      FrontierDelta& d = best[c.out];
+      if (cost < d.cost) {
+        d.cost = cost;
+        d.impl = c.impl;
+        for (size_t j = 0; j < arity; ++j) {
+          d.edges[j] = EdgeAnnotation{
+              pins[j], tts[j]->Get(pins[j], c.pouts[j]).kind, c.pouts[j]};
+        }
+      }
+    }
+    for (FormatId out = 0; out < num_formats; ++out) {
+      if (std::isinf(best[out].cost)) continue;
+      result->deltas.push_back(best[out]);
+      result->deltas.back().out = out;
+    }
+  }
+  result->combo_begin.push_back(static_cast<int32_t>(result->deltas.size()));
+  return result;
+}
+
 }  // namespace
 
 Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
@@ -97,32 +201,38 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
                                     const CostModel& model,
                                     const ClusterConfig& cluster,
                                     const OptimizerOptions& options) {
+  SearchMemo memo;
+  return FrontierOptimize(graph, catalog, model, cluster, options, &memo);
+}
+
+Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
+                                    const Catalog& catalog,
+                                    const CostModel& model,
+                                    const ClusterConfig& cluster,
+                                    const OptimizerOptions& options,
+                                    SearchMemo* memo) {
   Stopwatch watch;
   const int n = graph.num_vertices();
   const int num_formats = static_cast<int>(BuiltinFormats().size());
   const auto consumers = graph.BuildConsumers();
+  const bool debug = EnvFlag("MATOPT_FRONTIER_DEBUG");
 
   std::vector<ClassTable> tables;
   std::vector<bool> active;              // per table id
   std::vector<int> vertex_table(n, -1);  // frontier vertex -> active table
   std::vector<bool> visited(n, false);
   int64_t states = 0;
-  bool beam_pruned = false;
+  int beam_pruned_vertices = 0;
 
   // Initialize: every source vertex forms a singleton class holding its
   // given physical implementation at zero cost (Algorithm 4, lines 2-7).
-  int num_ops = 0;
   for (int v = 0; v < n; ++v) {
     const Vertex& vx = graph.vertex(v);
-    if (vx.op != OpKind::kInput) {
-      ++num_ops;
-      continue;
-    }
+    if (vx.op != OpKind::kInput) continue;
     ClassTable table;
     table.members = {v};
     ClassEntry entry;
     entry.cost = 0.0;
-    entry.out_format = vx.input_format;
     table.entries.emplace(EncodeFormat(Key128{}, 0, vx.input_format),
                           std::move(entry));
     tables.push_back(std::move(table));
@@ -131,17 +241,36 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
     visited[v] = true;
   }
 
-  // Cached cheapest-transformation tables per producer vertex.
-  std::vector<std::unique_ptr<TransformTable>> transform_cache(n);
-  auto transforms_for = [&](int u) -> const TransformTable& {
-    if (!transform_cache[u]) {
-      const Vertex& ux = graph.vertex(u);
-      transform_cache[u] = std::make_unique<TransformTable>(
+  // Cheapest-transformation table of a producer vertex's output.
+  auto transforms_for = [&](int u) -> const TransformTable* {
+    const Vertex& ux = graph.vertex(u);
+    std::vector<uint64_t> key;
+    AppendTypeKey(ux, &key);
+    auto& slot = memo->transforms[std::move(key)];
+    if (!slot) {
+      slot = std::make_unique<TransformTable>(
           catalog, model, cluster, ux.type, ux.sparsity,
           options.cost_transforms, options.allow_sparse,
           options.enforce_resource_limits);
     }
-    return *transform_cache[u];
+    return slot.get();
+  };
+
+  // v's deltas depend only on its op and its arguments' shapes and
+  // sparsities (through the implementation costs and the arguments'
+  // transformation tables), so vertices sharing that signature share them.
+  auto deltas_for = [&](int v) -> const VertexDeltas& {
+    const Vertex& vx = graph.vertex(v);
+    std::vector<uint64_t> key = {static_cast<uint64_t>(vx.op),
+                                 vx.inputs.size()};
+    for (int arg : vx.inputs) AppendTypeKey(graph.vertex(arg), &key);
+    auto& slot = memo->deltas[std::move(key)];
+    if (!slot) {
+      std::vector<const TransformTable*> tts;
+      for (int arg : vx.inputs) tts.push_back(transforms_for(arg));
+      slot = ComputeDeltas(graph, v, catalog, model, cluster, options, tts);
+    }
+    return *slot;
   };
 
   // New-class membership if `v` were processed now: the union of the old
@@ -268,237 +397,177 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
       }
     }
 
-    // Pre-compute, for every combination of argument pin formats and
-    // every output format ρ, the cheapest (implementation, transformation)
-    // choice. This factors Equation 2: v's choice depends only on its
-    // arguments' formats, so it hoists out of the cartesian entry loop.
-    struct Delta {
-      double cost = kInf;
-      ImplKind impl = ImplKind::kMmSingleSingle;
-      std::array<EdgeAnnotation, 2> edges{};
-    };
-    int64_t pin_combos = 1;
-    for (size_t j = 0; j < arity; ++j) pin_combos *= num_formats;
-    // Pre-warm the lazy transformation cache: the parallel loop below only
-    // reads it, so every table it touches must exist before the fan-out.
-    for (size_t j = 0; j < arity; ++j) transforms_for(vx.inputs[j]);
-    std::vector<Delta> deltas(pin_combos * num_formats);
-    {
-      // Each combo owns the disjoint slot range [combo * num_formats,
-      // (combo + 1) * num_formats), so chunks never write the same Delta.
-      std::atomic<int64_t> delta_states{0};
-      const int64_t dgrain = std::max<int64_t>(1, pin_combos / 64);
-      ParallelFor(0, pin_combos, dgrain, [&](int64_t c0, int64_t c1) {
-        std::vector<FormatId> pins(arity);
-        int64_t local_states = 0;
-        for (int64_t combo = c0; combo < c1; ++combo) {
-          int64_t rem = combo;
-          bool pins_ok = true;
-          for (size_t j = 0; j < arity; ++j) {
-            pins[j] = static_cast<FormatId>(rem % num_formats);
-            rem /= num_formats;
-            if (!catalog.FormatEnabled(pins[j])) pins_ok = false;
-          }
-          if (!pins_ok) continue;
-          std::vector<std::vector<FormatId>> pout_options(arity);
-          for (size_t j = 0; j < arity; ++j) {
-            const TransformTable& tt = transforms_for(vx.inputs[j]);
-            for (FormatId pout = 0; pout < num_formats; ++pout) {
-              if (tt.Get(pins[j], pout).feasible) {
-                pout_options[j].push_back(pout);
-              }
-            }
-          }
-          ForEachImplChoice(
-              graph, v, catalog, model, cluster, options, pout_options,
-              [&](ImplKind impl, const std::vector<FormatId>& pouts,
-                  FormatId out, double impl_cost) {
-                ++local_states;
-                double cost = impl_cost;
-                for (size_t j = 0; j < arity; ++j) {
-                  cost +=
-                      transforms_for(vx.inputs[j]).Get(pins[j], pouts[j]).cost;
-                }
-                Delta& d = deltas[combo * num_formats + out];
-                if (cost < d.cost) {
-                  d.cost = cost;
-                  d.impl = impl;
-                  for (size_t j = 0; j < arity; ++j) {
-                    d.edges[j] = EdgeAnnotation{
-                        pins[j],
-                        transforms_for(vx.inputs[j])
-                            .Get(pins[j], pouts[j])
-                            .kind,
-                        pouts[j]};
-                  }
-                }
-              });
-        }
-        delta_states.fetch_add(local_states, std::memory_order_relaxed);
-      });
-      states += delta_states.load();
-    }
+    // Equation 2's vertex-local term for every (argument pins, ρ).
+    const VertexDeltas& vd = deltas_for(v);
+    states += vd.states;
 
     // Cartesian product over the old classes' entries (Equation 2's joint
     // minimization); each combination only needs the per-(pins, ρ) deltas.
     //
-    // The product is flattened to a single index so it fans out across the
-    // pool. Every produced entry carries a rank — its flat combination
-    // index times num_formats plus the output format — which is the
-    // sequential encounter order. Chunk-local tables keep the minimum
-    // (cost, rank) winner per key and the merge below uses the same rule,
-    // so the surviving entry per key is independent of how the work was
-    // chunked or interleaved. Rebuilding `next.entries` in ascending rank
-    // order then fixes the table's iteration order (which feeds the next
-    // expansion and the beam cap), making the whole DP bit-identical at
-    // every thread count.
+    // Every produced entry carries a rank — its flat combination index
+    // (last class fastest) times num_formats plus ρ — which is the
+    // enumeration order. Each key keeps its minimum (cost, rank) winner,
+    // and `next.entries` is built in ascending rank order: the table's
+    // iteration order feeds the next expansion and the beam cap, so fixing
+    // it makes the whole DP deterministic.
+    //
+    // A key is the carried members' formats plus ρ. The entries of each
+    // old class are grouped by the formats they carry, so one combination
+    // of groups owns every key with that carried part; its combinations
+    // run in ascending rank order into a per-ρ winner slot, and a strict <
+    // keeps the lowest-rank winner, without a hash lookup per combination.
+    const size_t num_classes = old_ids.size();
     std::vector<std::vector<const std::pair<const Key128, ClassEntry>*>>
-        entry_lists(old_ids.size());
-    for (size_t s = 0; s < old_ids.size(); ++s) {
+        entry_lists(num_classes);
+    for (size_t s = 0; s < num_classes; ++s) {
       entry_lists[s].reserve(tables[old_ids[s]].entries.size());
       for (const auto& kv : tables[old_ids[s]].entries) {
         entry_lists[s].push_back(&kv);
       }
     }
     int64_t total_combos = 1;
-    for (const auto& list : entry_lists) {
-      total_combos *= static_cast<int64_t>(list.size());
+    std::vector<int64_t> stride(num_classes, 1);
+    for (size_t s = num_classes; s-- > 0;) {
+      stride[s] = total_combos;
+      total_combos *= static_cast<int64_t>(entry_lists[s].size());
     }
 
-    struct Ranked {
-      ClassEntry entry;
-      int64_t rank = 0;
+    struct Group {
+      Key128 carried;              // this class's carried formats
+      std::vector<int32_t> picks;  // ascending indices into entry_lists[s]
     };
-    using LocalMap = std::unordered_map<Key128, Ranked, Key128Hash>;
-    // Chunk count scales with the pool width (ranks make the outcome
-    // independent of chunking, so this does not affect determinism); a
-    // single-threaded pool gets one chunk and pays no merge.
-    const int pool_width = ThreadPool::Default().num_threads();
-    const int64_t target_chunks =
-        pool_width == 1 ? 1 : std::min<int64_t>(64, 4 * pool_width);
-    const int64_t cgrain = std::max<int64_t>(
-        1, (total_combos + target_chunks - 1) / target_chunks);
-    const int64_t num_chunks = (total_combos + cgrain - 1) / cgrain;
-    std::vector<LocalMap> chunk_maps(num_chunks);
-    std::vector<int64_t> chunk_states(num_chunks, 0);
-    std::atomic<bool> timed_out{false};
-
-    ParallelFor(0, total_combos, cgrain, [&](int64_t c0, int64_t c1) {
-      const int64_t chunk = c0 / cgrain;
-      LocalMap& local = chunk_maps[chunk];
-      int64_t& local_states = chunk_states[chunk];
-      std::vector<const std::pair<const Key128, ClassEntry>*> picked(
-          old_ids.size());
-      for (int64_t flat = c0; flat < c1; ++flat) {
-        if (timed_out.load(std::memory_order_relaxed)) return;
-        if ((local_states & 0xfff) == 0 &&
-            watch.ElapsedSeconds() > options.time_limit_sec) {
-          timed_out.store(true, std::memory_order_relaxed);
-          return;
-        }
-        ++local_states;
-        // Decode the flat index with the last class fastest, mirroring the
-        // nested enumeration order the ranks are defined against.
-        int64_t rem = flat;
-        for (size_t s = old_ids.size(); s-- > 0;) {
-          const auto& list = entry_lists[s];
-          picked[s] = list[rem % static_cast<int64_t>(list.size())];
-          rem /= static_cast<int64_t>(list.size());
-        }
-        double base = 0.0;
-        for (auto* p : picked) base += p->second.cost;
-
-        int64_t combo = 0;
-        for (size_t j = arity; j-- > 0;) {
-          FormatId pin = DecodeFormat(picked[arg_slots[j].old_pos]->first,
-                                      arg_slots[j].old_index);
-          combo = combo * num_formats + pin;
-        }
-
-        Key128 carried_key;
+    std::vector<std::vector<Group>> groups(num_classes);
+    // Per entry: its part of the pin combination index (argument j's pin
+    // times num_formats^j, for the arguments it holds).
+    std::vector<std::vector<int64_t>> combo_part(num_classes);
+    for (size_t s = 0; s < num_classes; ++s) {
+      std::unordered_map<Key128, size_t, Key128Hash> group_of;
+      combo_part[s].resize(entry_lists[s].size());
+      for (size_t i = 0; i < entry_lists[s].size(); ++i) {
+        const Key128& old_key = entry_lists[s][i]->first;
+        Key128 carried;
         for (const Carry& c : carries) {
-          carried_key = EncodeFormat(
-              carried_key, c.new_index,
-              DecodeFormat(picked[c.old_pos]->first, c.old_index));
+          if (c.old_pos != static_cast<int>(s)) continue;
+          carried = EncodeFormat(carried, c.new_index,
+                                 DecodeFormat(old_key, c.old_index));
         }
+        auto [it, inserted] = group_of.try_emplace(carried, groups[s].size());
+        if (inserted) groups[s].push_back(Group{carried, {}});
+        groups[s][it->second].picks.push_back(static_cast<int32_t>(i));
+        int64_t part = 0;
+        int64_t power = 1;
+        for (size_t j = 0; j < arity; ++j) {
+          if (arg_slots[j].old_pos == static_cast<int>(s)) {
+            part += power * DecodeFormat(old_key, arg_slots[j].old_index);
+          }
+          power *= num_formats;
+        }
+        combo_part[s][i] = part;
+      }
+    }
 
-        for (FormatId out = 0; out < num_formats; ++out) {
-          const Delta& d = deltas[combo * num_formats + out];
-          if (std::isinf(d.cost)) continue;
-          double cost = base + d.cost;
-          int64_t rank = flat * num_formats + out;
-          Key128 key = carried_key;
-          if (v_index >= 0) key = EncodeFormat(key, v_index, out);
-          auto [it, inserted] = local.try_emplace(key);
-          Ranked& r = it->second;
-          if (inserted || cost < r.entry.cost ||
-              (cost == r.entry.cost && rank < r.rank)) {
-            r.rank = rank;
-            ClassEntry& e = r.entry;
+    // Winners, one per key; with v dead on arrival (v_index < 0) every ρ
+    // maps to the same key, so a group combination has a single slot.
+    std::vector<std::pair<Key128, ClassEntry>> produced;
+    std::vector<ClassEntry> slot(v_index >= 0 ? num_formats : 1);
+    std::vector<size_t> group_at(num_classes, 0);
+    std::vector<size_t> pick_at(num_classes, 0);
+    std::vector<int32_t> pick(num_classes, 0);
+    int64_t visited_combos = 0;
+    bool groups_left = total_combos > 0;
+    while (groups_left) {
+      Key128 carried;
+      for (size_t s = 0; s < num_classes; ++s) {
+        const Key128& part = groups[s][group_at[s]].carried;
+        carried.lo |= part.lo;
+        carried.hi |= part.hi;
+      }
+      for (ClassEntry& e : slot) e.vertex = -1;
+      std::fill(pick_at.begin(), pick_at.end(), 0);
+      bool picks_left = true;
+      while (picks_left) {
+        if ((visited_combos++ & 0xfff) == 0 &&
+            watch.ElapsedSeconds() > options.time_limit_sec) {
+          return Status::Timeout("frontier DP exceeded its time budget");
+        }
+        int64_t flat = 0;
+        int64_t combo = 0;
+        double base = 0.0;
+        for (size_t s = 0; s < num_classes; ++s) {
+          pick[s] = groups[s][group_at[s]].picks[pick_at[s]];
+          flat += stride[s] * pick[s];
+          combo += combo_part[s][pick[s]];
+          base += entry_lists[s][pick[s]]->second.cost;
+        }
+        for (int32_t k = vd.combo_begin[combo]; k < vd.combo_begin[combo + 1];
+             ++k) {
+          const FrontierDelta& d = vd.deltas[k];
+          const double cost = base + d.cost;
+          ClassEntry& e = slot[v_index >= 0 ? d.out : 0];
+          if (e.vertex < 0 || cost < e.cost) {
             e.cost = cost;
+            e.rank = flat * num_formats + d.out;
             e.vertex = v;
-            e.impl = d.impl;
-            e.out_format = out;
-            e.arity = static_cast<uint8_t>(arity);
-            e.edges = d.edges;
-            e.num_preds = static_cast<uint8_t>(old_ids.size());
-            for (size_t s = 0; s < old_ids.size(); ++s) {
-              e.preds[s] = {old_ids[s], picked[s]->first};
+            e.delta = &d;
+            e.num_preds = static_cast<uint8_t>(num_classes);
+            for (size_t s = 0; s < num_classes; ++s) {
+              e.preds[s] = &entry_lists[s][pick[s]]->second;
             }
           }
         }
-      }
-    });
-    if (timed_out.load()) {
-      return Status::Timeout("frontier DP exceeded its time budget");
-    }
-
-    // Merge the chunk tables (the min-(cost, rank) rule is associative and
-    // commutative, so merge order is irrelevant), then rebuild the class
-    // table in ascending rank order for a deterministic iteration order.
-    LocalMap merged;
-    if (num_chunks == 1) {
-      states += chunk_states[0];
-      merged = std::move(chunk_maps[0]);
-    } else {
-      for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
-        states += chunk_states[chunk];
-        for (auto& kv : chunk_maps[chunk]) {
-          auto [it, inserted] = merged.try_emplace(kv.first);
-          Ranked& r = it->second;
-          if (inserted || kv.second.entry.cost < r.entry.cost ||
-              (kv.second.entry.cost == r.entry.cost &&
-               kv.second.rank < r.rank)) {
-            r = std::move(kv.second);
+        // Next combination of picks, last class fastest.
+        size_t s = num_classes;
+        picks_left = false;
+        while (s-- > 0) {
+          if (++pick_at[s] < groups[s][group_at[s]].picks.size()) {
+            picks_left = true;
+            break;
           }
+          pick_at[s] = 0;
         }
-        chunk_maps[chunk].clear();
+      }
+      for (const ClassEntry& e : slot) {
+        if (e.vertex < 0) continue;
+        Key128 key = carried;
+        if (v_index >= 0) key = EncodeFormat(key, v_index, e.delta->out);
+        produced.emplace_back(key, e);
+      }
+      size_t s = num_classes;
+      groups_left = false;
+      while (s-- > 0) {
+        if (++group_at[s] < groups[s].size()) {
+          groups_left = true;
+          break;
+        }
+        group_at[s] = 0;
       }
     }
+    states += total_combos;
+
     // Beam cap (Section 6.3's bounded-table assumption), applied before
-    // the rebuild so only surviving entries pay the sort and reinsertion.
+    // the rebuild so only surviving entries pay the sort and insertion.
     // Ties at the cutoff cost keep the lowest ranks, so the kept set is
     // deterministic too (exactly max_table_entries survive).
     bool capped =
-        static_cast<int64_t>(merged.size()) > options.max_table_entries;
+        static_cast<int64_t>(produced.size()) > options.max_table_entries;
     double cost_cutoff = kInf;
     int64_t rank_cutoff = 0;
     if (capped) {
-      beam_pruned = true;
+      ++beam_pruned_vertices;
       std::vector<double> costs;
-      costs.reserve(merged.size());
-      for (const auto& kv : merged) costs.push_back(kv.second.entry.cost);
+      costs.reserve(produced.size());
+      for (const auto& kv : produced) costs.push_back(kv.second.cost);
       auto nth = costs.begin() + options.max_table_entries;
       std::nth_element(costs.begin(), nth, costs.end());
       cost_cutoff = *nth;
       int64_t below = 0;
-      for (const auto& kv : merged) {
-        below += kv.second.entry.cost < cost_cutoff;
+      for (const auto& kv : produced) {
+        below += kv.second.cost < cost_cutoff;
       }
       const int64_t slots = options.max_table_entries - below;
       std::vector<int64_t> eq_ranks;
-      for (const auto& kv : merged) {
-        if (kv.second.entry.cost == cost_cutoff) {
+      for (const auto& kv : produced) {
+        if (kv.second.cost == cost_cutoff) {
           eq_ranks.push_back(kv.second.rank);
         }
       }
@@ -509,31 +578,23 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
       } else {
         rank_cutoff = std::numeric_limits<int64_t>::max();
       }
+      std::erase_if(produced, [&](const auto& kv) {
+        const double c = kv.second.cost;
+        return c > cost_cutoff ||
+               (c == cost_cutoff && kv.second.rank >= rank_cutoff);
+      });
     }
-
-    std::vector<std::pair<int64_t, const std::pair<const Key128, Ranked>*>>
-        winners;
-    winners.reserve(capped ? options.max_table_entries : merged.size());
-    for (const auto& kv : merged) {
-      const double c = kv.second.entry.cost;
-      if (capped &&
-          (c > cost_cutoff || (c == cost_cutoff &&
-                               kv.second.rank >= rank_cutoff))) {
-        continue;
-      }
-      winners.emplace_back(kv.second.rank, &kv);
-    }
-    std::sort(winners.begin(), winners.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [rank, kv] : winners) {
-      next.entries.emplace(kv->first, kv->second.entry);
-    }
+    std::sort(produced.begin(), produced.end(),
+              [](const auto& a, const auto& b) {
+                return a.second.rank < b.second.rank;
+              });
+    for (const auto& [key, entry] : produced) next.entries.emplace(key, entry);
     if (next.entries.empty()) {
       return Status::TypeError("no type-correct annotation exists at vertex " +
                                std::to_string(v));
     }
 
-    if (std::getenv("MATOPT_FRONTIER_DEBUG") != nullptr) {
+    if (debug) {
       int free_ops = 0;
       for (int u : new_members) {
         free_ops += (graph.vertex(u).op != OpKind::kInput);
@@ -563,7 +624,7 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
     }
   }
   double total = 0.0;
-  std::vector<std::pair<int, Key128>> stack;
+  std::vector<const ClassEntry*> stack;
   for (size_t id = 0; id < tables.size(); ++id) {
     if (!active[id]) continue;
     const ClassTable& table = tables[id];
@@ -573,17 +634,18 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
     }
     if (best == nullptr) return Status::TypeError("empty final class table");
     total += best->second.cost;
-    stack.emplace_back(static_cast<int>(id), best->first);
+    stack.push_back(&best->second);
   }
   while (!stack.empty()) {
-    auto [id, key] = stack.back();
+    const ClassEntry& e = *stack.back();
     stack.pop_back();
-    const ClassEntry& e = tables[id].entries.at(key);
     if (e.vertex >= 0) {
       VertexAnnotation& va = result.annotation.at(e.vertex);
-      va.impl = e.impl;
-      va.output_format = e.out_format;
-      va.input_edges.assign(e.edges.begin(), e.edges.begin() + e.arity);
+      const size_t arity = graph.vertex(e.vertex).inputs.size();
+      va.impl = e.delta->impl;
+      va.output_format = e.delta->out;
+      va.input_edges.assign(e.delta->edges.begin(),
+                            e.delta->edges.begin() + arity);
     }
     for (int s = 0; s < e.num_preds; ++s) stack.push_back(e.preds[s]);
   }
@@ -591,7 +653,8 @@ Result<PlanResult> FrontierOptimize(const ComputeGraph& graph,
   result.cost = total;
   result.opt_seconds = watch.ElapsedSeconds();
   result.states_explored = states;
-  result.beam_pruned = beam_pruned;
+  result.beam_pruned = beam_pruned_vertices > 0;
+  result.beam_pruned_vertices = beam_pruned_vertices;
   MATOPT_RETURN_IF_ERROR(
       VerifySearchResult(graph, result.annotation, catalog, model, cluster));
   PlanFusion(graph, catalog, model, cluster, options, &result);

@@ -1,5 +1,7 @@
 #include "core/opt/optimizer.h"
 
+#include "core/opt/search_memo.h"
+
 namespace matopt {
 
 TransformTable::TransformTable(const Catalog& catalog, const CostModel& model,
@@ -57,10 +59,19 @@ Result<PlanResult> Optimize(const ComputeGraph& graph, const Catalog& catalog,
                             const CostModel& model,
                             const ClusterConfig& cluster,
                             const OptimizerOptions& options) {
+  SearchMemo memo;
+  return Optimize(graph, catalog, model, cluster, options, &memo);
+}
+
+Result<PlanResult> Optimize(const ComputeGraph& graph, const Catalog& catalog,
+                            const CostModel& model,
+                            const ClusterConfig& cluster,
+                            const OptimizerOptions& options,
+                            SearchMemo* memo) {
   if (graph.IsTree()) {
     return TreeDpOptimize(graph, catalog, model, cluster, options);
   }
-  return FrontierOptimize(graph, catalog, model, cluster, options);
+  return FrontierOptimize(graph, catalog, model, cluster, options, memo);
 }
 
 }  // namespace matopt

@@ -66,6 +66,9 @@ struct PlanResult {
   /// True when the frontier DP hit its table beam cap; the plan is then
   /// best-within-beam rather than provably optimal.
   bool beam_pruned = false;
+  /// Vertices whose frontier table hit max_table_entries (0 unless
+  /// beam_pruned).
+  int beam_pruned_vertices = 0;
 };
 
 /// Exhaustive search (Algorithm 2). Exponential in the number of op

@@ -11,6 +11,8 @@
 #include <utility>
 
 #include "analysis/dataflow.h"
+#include "common/stopwatch.h"
+#include "core/opt/search_memo.h"
 #include "core/rewrite/rewrite_internal.h"
 
 namespace matopt {
@@ -356,14 +358,21 @@ Result<RewrittenPlan> OptimizeWithRewrites(
     const ComputeGraph& graph, const Catalog& catalog, const CostModel& model,
     const ClusterConfig& cluster, const OptimizerOptions& options,
     const RewriteOptions& rewrite_options) {
+  Stopwatch watch;
+  // Candidates differ from the original only locally, so most of their
+  // vertices repeat a signature an earlier search already enumerated.
+  SearchMemo memo;
   RewrittenPlan out;
-  MATOPT_ASSIGN_OR_RETURN(out.plan,
-                          Optimize(graph, catalog, model, cluster, options));
+  MATOPT_ASSIGN_OR_RETURN(
+      out.plan, Optimize(graph, catalog, model, cluster, options, &memo));
   out.graph = graph;
   out.vertex_map.resize(graph.num_vertices());
   std::iota(out.vertex_map.begin(), out.vertex_map.end(), 0);
   out.baseline_cost = out.plan.fused_cost;
-  if (!rewrite_options.enable || !RewriteEnabled()) return out;
+  if (!rewrite_options.enable || !RewriteEnabled()) {
+    out.search_seconds = watch.ElapsedSeconds();
+    return out;
+  }
 
   RewriteSearchResult search = EnumerateRewrites(graph, rewrite_options);
   out.candidates_considered = static_cast<int>(search.candidates.size());
@@ -371,7 +380,7 @@ Result<RewrittenPlan> OptimizeWithRewrites(
   for (size_t i = 1; i < search.candidates.size(); ++i) {
     RewriteCandidate& cand = search.candidates[i];
     Result<PlanResult> r =
-        Optimize(cand.graph, catalog, model, cluster, options);
+        Optimize(cand.graph, catalog, model, cluster, options, &memo);
     // A candidate that cannot be planned on this cluster (resource limits,
     // timeout) simply loses; the original plan already succeeded.
     if (!r.ok()) continue;
@@ -384,6 +393,7 @@ Result<RewrittenPlan> OptimizeWithRewrites(
       out.rewritten = true;
     }
   }
+  out.search_seconds = watch.ElapsedSeconds();
   return out;
 }
 

@@ -157,6 +157,9 @@ struct RewrittenPlan {
 
   int candidates_considered = 1;
   bool budget_hit = false;
+  /// Wall-clock seconds of the whole call: enumeration plus every
+  /// candidate's search. plan.opt_seconds is the winner's search alone.
+  double search_seconds = 0.0;
   /// Best fused cost of the *unrewritten* graph (the baseline the chosen
   /// plan is guaranteed to not exceed).
   double baseline_cost = 0.0;

@@ -102,6 +102,13 @@ void PlanCache::Insert(std::shared_ptr<const CachedPlan> entry) {
   shard.param_index[param] = exact;
 }
 
+void PlanCache::CountHit(double opt_seconds_saved) {
+  Shard& shard = shards_[0];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  ++shard.stats.hits;
+  shard.stats.opt_seconds_saved += opt_seconds_saved;
+}
+
 void PlanCache::CountParamHit(double opt_seconds_saved) {
   Shard& shard = shards_[0];
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -95,6 +95,10 @@ class PlanCache {
   /// param index, and evicts the shard's LRU tail past its per-shard cap.
   void Insert(std::shared_ptr<const CachedPlan> entry);
 
+  /// Counts a hit served without a lookup: a request that waited on
+  /// another request's search of the same key.
+  void CountHit(double opt_seconds_saved);
+
   /// Counts a served param-reuse against the stats (outside Insert so the
   /// service can account reuse that bypassed insertion entirely).
   void CountParamHit(double opt_seconds_saved);

@@ -226,6 +226,77 @@ std::shared_ptr<const CachedPlan> OptimizerService::TryParamReuse(
   return entry;
 }
 
+Result<std::shared_ptr<const CachedPlan>> OptimizerService::PlanMiss(
+    const ComputeGraph& graph, const GraphKey& key, ServeResponse* response) {
+  Stopwatch optimize_watch;
+  std::shared_ptr<const CachedPlan> entry;
+  std::shared_ptr<const CachedPlan> donor = cache_.LookupParam(key);
+  bool validate_donor = false;
+  if (donor != nullptr) {
+    entry = TryParamReuse(graph, key, donor, &response->diagnostics);
+    if (entry != nullptr) {
+      response->cache = CacheOutcome::kParamHit;
+    } else {
+      // A donor exists but the shape bucket is not validated yet (or the
+      // reuse was rejected): run the fresh search and cross-check the
+      // re-costed donor against it below.
+      validate_donor = !donor->rewritten &&
+                       StructureMatches(donor->graph, graph) &&
+                       !cache_.IsBucketValidated(key);
+    }
+  }
+  if (entry == nullptr) {
+    auto fresh = OptimizeWithRewrites(graph, catalog_, model_, cluster_,
+                                      options_.optimizer, options_.rewrite);
+    if (!fresh.ok()) return fresh.status();
+    auto inserted = std::make_shared<CachedPlan>();
+    inserted->key = key;
+    inserted->graph = std::move(fresh.value().graph);
+    inserted->plan = std::move(fresh.value().plan);
+    inserted->rewritten = fresh.value().rewritten;
+    inserted->exact = fresh.value().exact;
+    inserted->budget_hit = fresh.value().budget_hit;
+    inserted->candidates_considered = fresh.value().candidates_considered;
+    inserted->baseline_cost = fresh.value().baseline_cost;
+    for (const RewriteStep& step : fresh.value().chain) {
+      inserted->chain.push_back(step.description);
+    }
+    inserted->vertex_map = std::move(fresh.value().vertex_map);
+    inserted->cold_opt_seconds = optimize_watch.ElapsedSeconds();
+    entry = inserted;
+
+    if (validate_donor) {
+      // Parameterized-reuse envelope: would the donor's plan, re-costed
+      // on these shapes, have been acceptable in place of this search?
+      Annotation donor_annotation = donor->plan.annotation;
+      bool accepted = false;
+      if (ValidateAnnotation(graph, donor_annotation, catalog_, cluster_)
+              .ok()) {
+        double recost = AnnotationCost(graph, donor_annotation, catalog_,
+                                       model_, cluster_);
+        double fresh_cost = std::max(entry->plan.fused_cost, 1e-12);
+        accepted = std::isfinite(recost) &&
+                   recost <= options_.reuse_envelope * fresh_cost;
+        if (!accepted) {
+          response->diagnostics.Add(
+              Severity::kWarning, RuleId::kMO090_StalePlanReuse,
+              "cached plan re-costs to " + std::to_string(recost) +
+                  " on the new shapes, outside the x" +
+                  std::to_string(options_.reuse_envelope) +
+                  " envelope of the fresh search (" +
+                  std::to_string(entry->plan.fused_cost) +
+                  "); parameterized reuse disabled for this program");
+          cache_.InvalidateParam(key);
+        }
+      }
+      cache_.CountParamValidation(accepted);
+      if (accepted) cache_.MarkBucketValidated(key);
+    }
+    cache_.Insert(inserted);
+  }
+  return entry;
+}
+
 Result<ServeResponse> OptimizerService::Handle(const ServeRequest& request) {
   requests_.fetch_add(1, std::memory_order_relaxed);
 
@@ -248,74 +319,47 @@ Result<ServeResponse> OptimizerService::Handle(const ServeRequest& request) {
       MakeGraphKey(graph, cluster_, options_.optimizer, options_.rewrite);
 
   Stopwatch optimize_watch;
-  std::shared_ptr<const CachedPlan> entry = cache_.Lookup(response.key);
+  // Single flight: an exact-key miss registers a flight under the same
+  // lock as its lookup, so concurrent misses on one program find either
+  // the cached entry or the flight, and only the flight's owner searches.
+  std::shared_ptr<const CachedPlan> entry;
+  std::shared_ptr<Flight> flight;
+  bool owner = false;
+  {
+    std::lock_guard<std::mutex> lock(flights_mu_);
+    auto it = flights_.find(response.key.exact);
+    if (it != flights_.end()) {
+      flight = it->second;
+    } else {
+      entry = cache_.Lookup(response.key);
+      if (entry == nullptr) {
+        flight = std::make_shared<Flight>();
+        flight->outcome = flight->promise.get_future().share();
+        flights_.emplace(response.key.exact, flight);
+        owner = true;
+      }
+    }
+  }
   if (entry != nullptr) {
     response.cache = CacheOutcome::kHit;
+  } else if (!owner) {
+    const Result<std::shared_ptr<const CachedPlan>>& shared =
+        flight->outcome.get();
+    if (!shared.ok()) return shared.status();
+    entry = shared.value();
+    cache_.CountHit(entry->cold_opt_seconds);
+    response.cache = CacheOutcome::kHit;
   } else {
-    std::shared_ptr<const CachedPlan> donor = cache_.LookupParam(response.key);
-    bool validate_donor = false;
-    if (donor != nullptr) {
-      entry = TryParamReuse(graph, response.key, donor, &response.diagnostics);
-      if (entry != nullptr) {
-        response.cache = CacheOutcome::kParamHit;
-      } else {
-        // A donor exists but the shape bucket is not validated yet (or the
-        // reuse was rejected): run the fresh search and cross-check the
-        // re-costed donor against it below.
-        validate_donor = !donor->rewritten &&
-                         StructureMatches(donor->graph, graph) &&
-                         !cache_.IsBucketValidated(response.key);
-      }
+    Result<std::shared_ptr<const CachedPlan>> planned =
+        PlanMiss(graph, response.key, &response);
+    {
+      // The entry is in the cache by now, so later requests hit it.
+      std::lock_guard<std::mutex> lock(flights_mu_);
+      flights_.erase(response.key.exact);
     }
-    if (entry == nullptr) {
-      auto fresh = OptimizeWithRewrites(graph, catalog_, model_, cluster_,
-                                        options_.optimizer, options_.rewrite);
-      if (!fresh.ok()) return fresh.status();
-      auto inserted = std::make_shared<CachedPlan>();
-      inserted->key = response.key;
-      inserted->graph = std::move(fresh.value().graph);
-      inserted->plan = std::move(fresh.value().plan);
-      inserted->rewritten = fresh.value().rewritten;
-      inserted->exact = fresh.value().exact;
-      inserted->budget_hit = fresh.value().budget_hit;
-      inserted->candidates_considered = fresh.value().candidates_considered;
-      inserted->baseline_cost = fresh.value().baseline_cost;
-      for (const RewriteStep& step : fresh.value().chain) {
-        inserted->chain.push_back(step.description);
-      }
-      inserted->vertex_map = std::move(fresh.value().vertex_map);
-      inserted->cold_opt_seconds = optimize_watch.ElapsedSeconds();
-      entry = inserted;
-
-      if (validate_donor) {
-        // Parameterized-reuse envelope: would the donor's plan, re-costed
-        // on these shapes, have been acceptable in place of this search?
-        Annotation donor_annotation = donor->plan.annotation;
-        bool accepted = false;
-        if (ValidateAnnotation(graph, donor_annotation, catalog_, cluster_)
-                .ok()) {
-          double recost = AnnotationCost(graph, donor_annotation, catalog_,
-                                         model_, cluster_);
-          double fresh_cost = std::max(entry->plan.fused_cost, 1e-12);
-          accepted = std::isfinite(recost) &&
-                     recost <= options_.reuse_envelope * fresh_cost;
-          if (!accepted) {
-            response.diagnostics.Add(
-                Severity::kWarning, RuleId::kMO090_StalePlanReuse,
-                "cached plan re-costs to " + std::to_string(recost) +
-                    " on the new shapes, outside the x" +
-                    std::to_string(options_.reuse_envelope) +
-                    " envelope of the fresh search (" +
-                    std::to_string(entry->plan.fused_cost) +
-                    "); parameterized reuse disabled for this program");
-            cache_.InvalidateParam(response.key);
-          }
-        }
-        cache_.CountParamValidation(accepted);
-        if (accepted) cache_.MarkBucketValidated(response.key);
-      }
-      cache_.Insert(inserted);
-    }
+    flight->promise.set_value(planned);
+    if (!planned.ok()) return planned.status();
+    entry = std::move(planned).value();
   }
   response.optimize_seconds = optimize_watch.ElapsedSeconds();
   {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -149,6 +150,21 @@ class OptimizerService {
       const std::shared_ptr<const CachedPlan>& donor,
       DiagnosticList* diagnostics);
 
+  /// The exact-key miss path: parameterized reuse when a validated donor
+  /// applies, else the fresh search (cross-checking a donor that is not
+  /// validated yet). Inserts and returns the new entry; sets
+  /// response->cache to kParamHit on reuse and adds any diagnostics.
+  Result<std::shared_ptr<const CachedPlan>> PlanMiss(const ComputeGraph& graph,
+                                                     const GraphKey& key,
+                                                     ServeResponse* response);
+
+  /// One exact-key miss being planned. Requests that miss on the same key
+  /// while it runs wait on `outcome` and share its entry or its error.
+  struct Flight {
+    std::promise<Result<std::shared_ptr<const CachedPlan>>> promise;
+    std::shared_future<Result<std::shared_ptr<const CachedPlan>>> outcome;
+  };
+
   const Catalog& catalog_;
   ClusterConfig cluster_;
   ServeOptions options_;
@@ -156,6 +172,8 @@ class OptimizerService {
   PlanCache cache_;
 
   mutable std::mutex mu_;  // tenants_ + inflight maps
+  std::mutex flights_mu_;  // flights_; taken before any cache shard mutex
+  std::map<uint64_t, std::shared_ptr<Flight>> flights_;  // by exact key
   std::map<std::string, TenantBudget> tenants_;
   std::map<std::string, int> tenant_inflight_;
   int total_inflight_ = 0;

@@ -110,6 +110,31 @@ TEST(EnvKnobs, ValidateMatoptEnvNamesTheOffendingKnob) {
   }
 }
 
+TEST(EnvKnobs, FrontierDebugIsAStrictBoolKnob) {
+  {
+    ScopedEnv debug("MATOPT_FRONTIER_DEBUG", nullptr);
+    EXPECT_FALSE(EnvFlag("MATOPT_FRONTIER_DEBUG"));
+  }
+  {
+    // "0" means off (any set value used to turn debugging on).
+    ScopedEnv debug("MATOPT_FRONTIER_DEBUG", "0");
+    EXPECT_FALSE(EnvFlag("MATOPT_FRONTIER_DEBUG"));
+    EXPECT_TRUE(ValidateMatoptEnv().ok());
+  }
+  {
+    ScopedEnv debug("MATOPT_FRONTIER_DEBUG", "1");
+    EXPECT_TRUE(EnvFlag("MATOPT_FRONTIER_DEBUG"));
+  }
+  {
+    ScopedEnv debug("MATOPT_FRONTIER_DEBUG", "yes");
+    EXPECT_FALSE(EnvFlag("MATOPT_FRONTIER_DEBUG"));
+    Status status = ValidateMatoptEnv();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("MATOPT_FRONTIER_DEBUG=yes"),
+              std::string::npos);
+  }
+}
+
 TEST(EnvKnobs, ServeCacheEntriesOverride) {
   {
     ScopedEnv entries("MATOPT_SERVE_CACHE_ENTRIES", "7");
@@ -738,6 +763,51 @@ TEST(OptimizerServiceTest, ConcurrentHandleIsRaceFreeAndCoherent) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(service.Stats().requests, kThreads * kIterations);
   EXPECT_LE(service.cache().size(), 4);
+}
+
+// Single flight: concurrent exact-key misses on a fresh service wait on one
+// search and share its entry, so exactly one cold search runs and every
+// response carries the same plan and the same sink checksums. TSan-checked.
+TEST(OptimizerServiceTest, ConcurrentColdMissesShareOneSearch) {
+  Catalog catalog;
+  ClusterConfig cluster = SimSqlProfile(4);
+  ServeOptions options = FastOptions();
+  options.rewrite.enable = true;  // a longer search, so requests overlap
+  OptimizerService service(catalog, cluster, options);
+
+  ServeRequest request;
+  request.program = ChainSource(200, 210, 220, 230);
+  request.execute = true;
+  request.input_seed = 42;
+
+  constexpr int kThreads = 6;
+  std::vector<Result<ServeResponse>> responses(
+      kThreads, Result<ServeResponse>(Status::Internal("not run")));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&service, &request, &responses, t]() {
+      responses[t] = service.Handle(request);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.cache_misses, 1);
+  EXPECT_EQ(stats.cache_hits, kThreads - 1);
+  int misses = 0;
+  for (const Result<ServeResponse>& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const ServeResponse& r = response.value();
+    misses += r.cache == CacheOutcome::kMiss;
+    ASSERT_TRUE(r.executed);
+    EXPECT_EQ(r.fused_cost, responses[0].value().fused_cost);
+    EXPECT_EQ(r.cost, responses[0].value().cost);
+    EXPECT_EQ(r.rewrite_chain, responses[0].value().rewrite_chain);
+    EXPECT_EQ(r.sink_checksums, responses[0].value().sink_checksums);
+  }
+  EXPECT_EQ(misses, 1);
+  EXPECT_EQ(service.cache().size(), 1);
 }
 
 }  // namespace
