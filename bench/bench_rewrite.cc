@@ -10,10 +10,12 @@
 // rewrite chains must be bit-identical to the original under the
 // chunking-free reference semantics. Emits BENCH_rewrite.json, with the
 // wall time of each rewrite-aware search (`plan_off_seconds`,
-// `plan_on_seconds`: RewrittenPlan::search_seconds) next to execution.
+// `plan_on_seconds`: RewrittenPlan::search_seconds) next to execution,
+// which is timed as the median and min/max over 5 repetitions per plan.
 // Self-checking: exits 2 on any value mismatch, 1 on any cost-contract
 // violation. `--quick` runs one repetition at reduced sizes for CI smoke.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -54,10 +56,25 @@ std::map<int, DenseMatrix> SeedInputs(const ComputeGraph& graph) {
   return inputs;
 }
 
+/// Wall-clock seconds of one plan's executions; -1 when not executed.
+struct Timing {
+  double median = -1.0;
+  double min = -1.0;
+  double max = -1.0;
+};
+
+std::string FormatTiming(const Timing& t) {
+  if (t.median < 0) return "-";
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.4f [%.4f,%.4f]", t.median, t.min,
+                t.max);
+  return buf;
+}
+
 /// Executes `annotation` over `graph` with the given dense inputs and
-/// returns the materialized sinks plus the best wall-clock over `reps`.
+/// returns the materialized sinks plus the wall-clock spread over `reps`.
 struct ExecResult {
-  double seconds = 0.0;
+  Timing seconds;
   std::map<int, DenseMatrix> sinks;
 };
 
@@ -69,6 +86,7 @@ Result<ExecResult> RunPlan(const ComputeGraph& graph,
   ThreadPool::SetDefaultThreads(4);
   PlanExecutor executor(catalog, cluster);
   ExecResult best;
+  std::vector<double> secs;
   for (int rep = 0; rep < reps; ++rep) {
     std::unordered_map<int, Relation> relations;
     for (const auto& [v, m] : inputs) {
@@ -82,12 +100,11 @@ Result<ExecResult> RunPlan(const ComputeGraph& graph,
     }
     Stopwatch watch;
     auto result = executor.Execute(graph, annotation, std::move(relations));
-    double secs = watch.ElapsedSeconds();
+    secs.push_back(watch.ElapsedSeconds());
     if (!result.ok()) {
       ThreadPool::SetDefaultThreads(0);
       return result.status();
     }
-    if (rep == 0 || secs < best.seconds) best.seconds = secs;
     if (rep == 0) {
       for (const auto& [sink, rel] : result.value().sinks) {
         auto dense = MaterializeDense(rel);
@@ -100,6 +117,12 @@ Result<ExecResult> RunPlan(const ComputeGraph& graph,
     }
   }
   ThreadPool::SetDefaultThreads(0);
+  std::sort(secs.begin(), secs.end());
+  const size_t n = secs.size();
+  best.seconds.median =
+      n % 2 == 1 ? secs[n / 2] : 0.5 * (secs[n / 2 - 1] + secs[n / 2]);
+  best.seconds.min = secs.front();
+  best.seconds.max = secs.back();
   return best;
 }
 
@@ -144,7 +167,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
-  const int reps = quick ? 1 : 3;
+  const int reps = quick ? 1 : 5;
 
   Catalog catalog;
   ClusterConfig cluster = SimSqlProfile(4);
@@ -190,8 +213,8 @@ int main(int argc, char** argv) {
     std::string chain;
     double baseline_cost = 0.0;
     double chosen_cost = 0.0;
-    double off_seconds = -1.0;
-    double on_seconds = -1.0;
+    Timing off_seconds;
+    Timing on_seconds;
     double plan_off_seconds = 0.0;
     double plan_on_seconds = 0.0;
     bool values_ok = true;
@@ -201,7 +224,8 @@ int main(int argc, char** argv) {
   bool values_ok = true;
 
   std::printf("Logical-rewriter A/B (MATOPT_REWRITE off vs on)\n");
-  std::printf("%-20s %5s %9s %6s %14s %14s %12s %9s %9s %9s  %s\n",
+  std::printf("off_s / on_s: median [min,max] over %d execution(s)\n", reps);
+  std::printf("%-20s %5s %9s %6s %14s %14s %12s %9s %24s %24s  %s\n",
               "workload", "cands", "rewritten", "exact", "baseline", "chosen",
               "delta", "plan_on_s", "off_s", "on_s", "chain");
 
@@ -331,15 +355,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    std::printf("%-20s %5d %9s %6s %14.6g %14.6g %12.6g %9.3f %9s %9s  %s\n",
+    std::printf("%-20s %5d %9s %6s %14.6g %14.6g %12.6g %9.3f %24s %24s  %s\n",
                 row.workload.c_str(), row.candidates,
                 row.rewritten ? "yes" : "no", row.exact ? "yes" : "no",
                 row.baseline_cost, row.chosen_cost,
                 row.baseline_cost - row.chosen_cost, row.plan_on_seconds,
-                row.off_seconds < 0 ? "-"
-                                    : std::to_string(row.off_seconds).c_str(),
-                row.on_seconds < 0 ? "-"
-                                   : std::to_string(row.on_seconds).c_str(),
+                FormatTiming(row.off_seconds).c_str(),
+                FormatTiming(row.on_seconds).c_str(),
                 row.chain.empty() ? "(original)" : row.chain.c_str());
     rows.push_back(row);
   }
@@ -354,22 +376,27 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"cost_ok\": %s,\n  \"values_ok\": %s,\n"
-                    "  \"results\": [\n",
-               cost_ok ? "true" : "false", values_ok ? "true" : "false");
+                    "  \"reps\": %d,\n  \"results\": [\n",
+               cost_ok ? "true" : "false", values_ok ? "true" : "false", reps);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(
         out,
         "    {\"workload\": \"%s\", \"candidates\": %d, \"budget_hit\": %s, "
         "\"rewritten\": %s, \"exact\": %s, \"baseline_cost\": %.6f, "
-        "\"chosen_cost\": %.6f, \"off_seconds\": %.6f, \"on_seconds\": %.6f, "
+        "\"chosen_cost\": %.6f, \"off_seconds\": %.6f, "
+        "\"off_min_seconds\": %.6f, \"off_max_seconds\": %.6f, "
+        "\"on_seconds\": %.6f, \"on_min_seconds\": %.6f, "
+        "\"on_max_seconds\": %.6f, "
         "\"plan_off_seconds\": %.6f, \"plan_on_seconds\": %.6f, "
         "\"values_ok\": %s, \"chain\": \"%s\"}%s\n",
         r.workload.c_str(), r.candidates, r.budget_hit ? "true" : "false",
         r.rewritten ? "true" : "false", r.exact ? "true" : "false",
-        r.baseline_cost, r.chosen_cost, r.off_seconds, r.on_seconds,
-        r.plan_off_seconds, r.plan_on_seconds,
-        r.values_ok ? "true" : "false", JsonEscape(r.chain).c_str(),
+        r.baseline_cost, r.chosen_cost, r.off_seconds.median,
+        r.off_seconds.min, r.off_seconds.max, r.on_seconds.median,
+        r.on_seconds.min, r.on_seconds.max, r.plan_off_seconds,
+        r.plan_on_seconds, r.values_ok ? "true" : "false",
+        JsonEscape(r.chain).c_str(),
         i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -44,13 +44,6 @@ DataflowResult RunSparsityDataflow(
 
 namespace {
 
-/// A dry relation (metadata grid) paired with the sound density interval
-/// of the matrix it holds.
-struct BoundRel {
-  Relation rel;
-  SparsityInterval density;
-};
-
 /// max over {0 <= nnz_i <= cap_i, sum nnz_i = total} of sum w_i * nnz_i:
 /// fill the heaviest-weighted tuples first (adversarial skew).
 double MaxWeightedNnz(std::vector<std::pair<double, double>> items,
@@ -88,21 +81,22 @@ double MinWeightedNnz(std::vector<std::pair<double, double>> items,
 /// 8*rows index. Only the total non-zero count of each argument matrix is
 /// bounded (by its density interval), so every aggregate maximizes /
 /// minimizes over adversarial placements of those non-zeros across chunks.
-StageBounds BoundStage(std::string label, int vertex, int edge_arg,
-                       const std::vector<const BoundRel*>& args,
+StageBounds BoundStage(const dist::Stage& st,
+                       const std::vector<const Relation*>& args,
+                       const std::vector<SparsityInterval>& densities,
                        const dist::StagePlan& plan, int num_workers) {
   StageBounds b;
-  b.label = std::move(label);
-  b.vertex = vertex;
-  b.edge_arg = edge_arg;
+  b.label = st.label;
+  b.vertex = st.vertex;
+  b.edge_arg = st.edge_arg;
   b.tuples = plan.tuples;
   b.args.resize(args.size());
   // Per-worker remote shuffle inbound accumulators.
   std::vector<ByteInterval> inbound(num_workers);
 
   for (size_t j = 0; j < args.size(); ++j) {
-    const Relation& rel = args[j]->rel;
-    const SparsityInterval density = args[j]->density;
+    const Relation& rel = *args[j];
+    const SparsityInterval density = densities[j];
     const dist::StagePlan::Arg& ap = plan.args[j];
     const bool sparse = ap.sparse_layout;
     StageBounds::ArgBound& ab = b.args[j];
@@ -195,8 +189,6 @@ StageBounds BoundStage(std::string label, int vertex, int edge_arg,
   return b;
 }
 
-const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
-
 }  // namespace
 
 Result<std::vector<StageBounds>> ComputeDistStageBounds(
@@ -207,103 +199,38 @@ Result<std::vector<StageBounds>> ComputeDistStageBounds(
   if (num_workers < 1) {
     return Status::InvalidArgument("stage bounds need >= 1 worker");
   }
-  if (static_cast<int>(annotation.vertices.size()) != graph.num_vertices()) {
-    return Status::InvalidArgument(
-        "annotation shape does not match the graph");
-  }
-  std::vector<StageBounds> out;
-  std::unordered_map<int, BoundRel> rels;
+  std::unordered_map<int, Relation> dry_inputs;
   for (int v = 0; v < graph.num_vertices(); ++v) {
     const Vertex& vx = graph.vertex(v);
-    if (vx.op == OpKind::kInput) {
-      double s = vx.sparsity;
-      if (input_sparsity != nullptr) {
-        auto it = input_sparsity->find(v);
-        if (it != input_sparsity->end()) s = it->second;
-      }
-      rels.emplace(v, BoundRel{MakeDryRelation(vx.type, vx.input_format, s,
-                                               cluster),
-                               flow.at(v)});
-      continue;
+    if (vx.op != OpKind::kInput) continue;
+    double s = vx.sparsity;
+    if (input_sparsity != nullptr) {
+      auto it = input_sparsity->find(v);
+      if (it != input_sparsity->end()) s = it->second;
     }
-    const VertexAnnotation& va = annotation.at(v);
-    if (va.input_edges.size() != vx.inputs.size()) {
-      return Status::InvalidArgument("annotation lists wrong edge count at v" +
-                                     std::to_string(v));
+    dry_inputs.emplace(v,
+                       MakeDryRelation(vx.type, vx.input_format, s, cluster));
+  }
+  MATOPT_ASSIGN_OR_RETURN(
+      std::vector<dist::Stage> stages,
+      dist::BuildStageList(catalog, cluster, graph, annotation, dry_inputs,
+                           num_workers));
+  auto skeleton_of = [&stages](int i) -> const Relation& {
+    return stages[i].skeleton;
+  };
+  std::vector<StageBounds> out;
+  out.reserve(stages.size());
+  for (const dist::Stage& st : stages) {
+    std::vector<const Relation*> args =
+        dist::StageArgs(st, dry_inputs, skeleton_of);
+    // Every argument holds the matrix of its `vertex`, so its density
+    // interval is that vertex's.
+    std::vector<SparsityInterval> densities;
+    for (const dist::StageArg& a : st.args) {
+      densities.push_back(flow.at(a.vertex));
     }
-    for (int u : vx.inputs) {
-      if (u < 0 || u >= v) {
-        return Status::InvalidArgument("graph is not in topological order");
-      }
-    }
-
-    // Per-edge transformations, each its own exchange stage — mirrors
-    // RunTransformStage: same label, same target format, same grid.
-    std::vector<BoundRel> transformed;
-    transformed.reserve(vx.inputs.size());
-    std::vector<const BoundRel*> args;
-    for (size_t j = 0; j < vx.inputs.size(); ++j) {
-      const BoundRel& in = rels.at(vx.inputs[j]);
-      if (!va.input_edges[j].transform.has_value()) {
-        args.push_back(&in);
-        continue;
-      }
-      TransformKind kind = *va.input_edges[j].transform;
-      std::string label = "v" + std::to_string(v) + ".arg" + std::to_string(j) +
-                          ":transform:" + TransformKindName(kind);
-      ArgInfo arg{in.rel.type, in.rel.format, in.rel.sparsity};
-      auto target = catalog.TransformOutputFormat(kind, arg, cluster);
-      if (!target.has_value()) {
-        return Status::TypeError(std::string("transformation ") +
-                                 TransformKindName(kind) +
-                                 " is infeasible for this relation");
-      }
-      const Format& src_fmt = FormatOf(in.rel.format);
-      const Format& dst_fmt = FormatOf(*target);
-      double out_sparsity = dst_fmt.sparse() ? in.rel.sparsity : 1.0;
-      Relation skeleton =
-          MakeDryRelation(in.rel.type, *target, out_sparsity, cluster);
-      dist::OwnerMap owners = dist::MapOwners(skeleton, num_workers);
-      std::vector<dist::KeyFn> keyfns;
-      keyfns.push_back(dist::GridOverlapKeyFn(in.rel.type, src_fmt, dst_fmt));
-      dist::StagePlan plan =
-          dist::RouteStage({&in.rel}, {dist::Route::kIdentity}, keyfns, owners,
-                           num_workers);
-      out.push_back(BoundStage(std::move(label), v, static_cast<int>(j), {&in},
-                               plan, num_workers));
-      // A transformation re-chunks the same matrix values, so the density
-      // interval passes through unchanged.
-      transformed.push_back(BoundRel{std::move(skeleton), in.density});
-      args.push_back(&transformed.back());
-    }
-
-    // The implementation stage, mirroring RunPass's impl skeleton.
-    std::string label =
-        "v" + std::to_string(v) + ":" + ImplKindName(va.impl);
-    double out_sparsity =
-        FormatOf(va.output_format).sparse() ? vx.sparsity : 1.0;
-    Relation skeleton =
-        MakeDryRelation(vx.type, va.output_format, out_sparsity, cluster);
-    dist::OwnerMap owners = dist::MapOwners(skeleton, num_workers);
-    std::vector<dist::Route> routes = dist::RoutesFor(va.impl);
-    if (routes.size() != args.size()) {
-      return Status::InvalidArgument(
-          std::string(ImplKindName(va.impl)) +
-          " has the wrong arity for the op at v" + std::to_string(v));
-    }
-    std::vector<dist::KeyFn> keyfns;
-    keyfns.reserve(routes.size());
-    for (dist::Route r : routes) {
-      keyfns.push_back(dist::KeyFnFor(r, owners.nr, owners.nc));
-    }
-    std::vector<const Relation*> arg_rels;
-    arg_rels.reserve(args.size());
-    for (const BoundRel* a : args) arg_rels.push_back(&a->rel);
-    dist::StagePlan plan =
-        dist::RouteStage(arg_rels, routes, keyfns, owners, num_workers);
-    out.push_back(
-        BoundStage(std::move(label), v, -1, args, plan, num_workers));
-    rels.emplace(v, BoundRel{std::move(skeleton), flow.at(v)});
+    dist::StagePlan plan = dist::RouteStage(st, args, num_workers);
+    out.push_back(BoundStage(st, args, densities, plan, num_workers));
   }
   return out;
 }

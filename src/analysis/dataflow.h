@@ -39,11 +39,12 @@ DataflowResult RunSparsityDataflow(
     const ComputeGraph& graph,
     const std::unordered_map<int, double>* seeds = nullptr);
 
-/// Statically derived bounds of one dist exchange stage. Labels match the
-/// dist runtime's stage records (`v<id>:<ImplKindName>` /
-/// `v<id>.arg<j>:transform:<TransformKindName>`) record for record, so the
-/// fuzz oracle can line measured traffic up against these intervals and the
-/// lint pre-flight can name the offending stage.
+/// Statically derived bounds of one dist exchange stage. Both these bounds
+/// and the dist runtime's stage records come from dist::BuildStageList, so
+/// labels (`v<id>:<ImplKindName>` /
+/// `v<id>.arg<j>:transform:<TransformKindName>`) and order are the
+/// runtime's; the fuzz oracle lines measured traffic up against these
+/// intervals and the lint pre-flight names the offending stage.
 struct StageBounds {
   std::string label;
   int vertex = -1;
@@ -69,13 +70,13 @@ struct StageBounds {
   ByteInterval max_worker_inbound;
 };
 
-/// Walks the annotated plan's exchange-stage sequence exactly as the dist
-/// runtime's projection/data passes do (same labels, same order, same
-/// metadata grids) and derives sound byte bounds per stage from the
-/// dataflow intervals. `input_sparsity` optionally overrides the relation
-/// sparsity of input vertices (the oracle passes measured densities; lint
-/// uses the declared ones) — it must agree with the seeds used for `flow`.
-/// Fails only when the annotation is not executable (infeasible transform).
+/// Iterates the annotated plan's stage list (dist::BuildStageList) and
+/// derives sound byte bounds per stage from its metadata-only routing and
+/// the dataflow intervals. `input_sparsity` optionally overrides the
+/// relation sparsity of input vertices (the oracle passes measured
+/// densities; lint uses the declared ones) — it must agree with the seeds
+/// used for `flow`. Fails only when the annotation is not executable (the
+/// stage list's typed errors, e.g. an infeasible transform).
 Result<std::vector<StageBounds>> ComputeDistStageBounds(
     const Catalog& catalog, const ClusterConfig& cluster,
     const ComputeGraph& graph, const Annotation& annotation,

@@ -3,13 +3,15 @@
 #include <algorithm>
 
 #include "dist/partition.h"
+#include "engine/operators.h"
 
 namespace matopt::dist {
 
 namespace {
-const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
-}  // namespace
 
+const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
+
+/// Per-argument routes of an implementation's exchange stage.
 std::vector<Route> RoutesFor(ImplKind kind) {
   switch (kind) {
     case ImplKind::kMmSingleSingle:
@@ -114,6 +116,8 @@ KeyFn KeyFnFor(Route route, int64_t nr_out, int64_t nc_out) {
   return [](const EngineTuple&, auto*) {};
 }
 
+/// Grid-overlap routing for format transformations: a source chunk is
+/// needed by every target chunk whose region it intersects.
 KeyFn GridOverlapKeyFn(const MatrixType& type, const Format& src_fmt,
                        const Format& dst_fmt) {
   ChunkDims sd = ChunkDimsFor(type, src_fmt);
@@ -140,16 +144,17 @@ OwnerMap MapOwners(const Relation& skeleton, int num_workers) {
   return m;
 }
 
-StagePlan RouteStage(const std::vector<const Relation*>& args,
-                     const std::vector<Route>& routes,
-                     const std::vector<KeyFn>& keyfns, const OwnerMap& owners,
+}  // namespace
+
+StagePlan RouteStage(const Stage& stage,
+                     const std::vector<const Relation*>& args,
                      int num_workers) {
   StagePlan plan;
   plan.args.resize(args.size());
   std::vector<std::pair<int64_t, int64_t>> keys;
   for (size_t j = 0; j < args.size(); ++j) {
     StagePlan::Arg& ap = plan.args[j];
-    ap.broadcast = routes[j] == Route::kBroadcast;
+    ap.broadcast = stage.routes[j] == Route::kBroadcast;
     ap.sparse_layout = FormatOf(args[j]->format).sparse();
     ap.dests.resize(args[j]->tuples.size());
     for (size_t i = 0; i < args[j]->tuples.size(); ++i) {
@@ -160,10 +165,10 @@ StagePlan RouteStage(const std::vector<const Relation*>& args,
         for (int w = 0; w < num_workers; ++w) dests[w] = w;
       } else {
         keys.clear();
-        keyfns[j](t, &keys);
+        stage.keyfns[j](t, &keys);
         for (const auto& [r, c] : keys) {
-          auto it = owners.owner.find(TupleKey(r, c));
-          if (it == owners.owner.end()) continue;  // key outside the grid
+          auto it = stage.owners.owner.find(TupleKey(r, c));
+          if (it == stage.owners.owner.end()) continue;  // outside the grid
           dests.push_back(it->second);
         }
         std::sort(dests.begin(), dests.end());
@@ -175,13 +180,11 @@ StagePlan RouteStage(const std::vector<const Relation*>& args,
   return plan;
 }
 
-Result<StagePlan> PlanStage(const std::string& label,
+Result<StagePlan> PlanStage(const Stage& stage,
                             const std::vector<const Relation*>& args,
-                            const std::vector<Route>& routes,
-                            const std::vector<KeyFn>& keyfns,
-                            const OwnerMap& owners,
                             const ClusterConfig& cluster, int num_workers) {
-  StagePlan plan = RouteStage(args, routes, keyfns, owners, num_workers);
+  const std::string& label = stage.label;
+  StagePlan plan = RouteStage(stage, args, num_workers);
   // Remote shuffle bytes buffered by each receiving worker this stage.
   std::vector<double> inbound(num_workers, 0.0);
   for (size_t j = 0; j < args.size(); ++j) {
@@ -222,6 +225,96 @@ Result<StagePlan> PlanStage(const std::string& label,
     }
   }
   return plan;
+}
+
+Result<std::vector<Stage>> BuildStageList(
+    const Catalog& catalog, const ClusterConfig& cluster,
+    const ComputeGraph& graph, const Annotation& annotation,
+    const std::unordered_map<int, Relation>& dry_inputs, int num_workers) {
+  if (static_cast<int>(annotation.vertices.size()) != graph.num_vertices()) {
+    return Status::InvalidArgument(
+        "annotation shape does not match the graph");
+  }
+  std::vector<Stage> stages;
+  std::vector<StageArg> value(graph.num_vertices());  // where v's matrix is
+  auto push = [&](Stage st) {
+    st.owners = MapOwners(st.skeleton, num_workers);
+    if (st.keyfns.empty()) {
+      for (Route r : st.routes) {
+        st.keyfns.push_back(KeyFnFor(r, st.owners.nr, st.owners.nc));
+      }
+    }
+    stages.push_back(std::move(st));
+    return static_cast<int>(stages.size()) - 1;
+  };
+  for (int v = 0; v < graph.num_vertices(); ++v) {
+    const Vertex& vx = graph.vertex(v);
+    if (vx.op == OpKind::kInput) {
+      if (dry_inputs.find(v) == dry_inputs.end()) {
+        return Status::InvalidArgument("missing input relation for vertex " +
+                                       std::to_string(v));
+      }
+      value[v] = StageArg{-1, v};
+      continue;
+    }
+    const VertexAnnotation& va = annotation.at(v);
+    if (va.input_edges.size() != vx.inputs.size()) {
+      return Status::InvalidArgument("annotation lists wrong edge count at v" +
+                                     std::to_string(v));
+    }
+    for (int u : vx.inputs) {
+      if (u < 0 || u >= v) {
+        return Status::InvalidArgument("graph is not in topological order");
+      }
+    }
+
+    // Per-edge transformations, each its own exchange stage.
+    std::vector<StageArg> args;
+    for (size_t j = 0; j < vx.inputs.size(); ++j) {
+      StageArg in = value[vx.inputs[j]];
+      if (!va.input_edges[j].transform.has_value()) {
+        args.push_back(in);
+        continue;
+      }
+      TransformKind kind = *va.input_edges[j].transform;
+      const Relation& in_rel =
+          in.stage >= 0 ? stages[in.stage].skeleton : dry_inputs.at(in.vertex);
+      Stage st;
+      st.label = "v" + std::to_string(v) + ".arg" + std::to_string(j) +
+                 ":transform:" + TransformKindName(kind);
+      st.vertex = v;
+      st.edge_arg = static_cast<int>(j);
+      st.transform = kind;
+      MATOPT_ASSIGN_OR_RETURN(
+          st.skeleton, TransformSkeleton(catalog, kind, in_rel, cluster));
+      st.routes = {Route::kIdentity};
+      st.keyfns = {GridOverlapKeyFn(in_rel.type, FormatOf(in_rel.format),
+                                    FormatOf(st.skeleton.format))};
+      st.args = {in};
+      // A transformation re-chunks the same matrix.
+      args.push_back(StageArg{push(std::move(st)), in.vertex});
+    }
+
+    // The implementation stage. The output skeleton follows the annotated
+    // output format and carries the estimated sparsity.
+    Stage st;
+    st.routes = RoutesFor(va.impl);
+    if (st.routes.size() != args.size()) {
+      return Status::InvalidArgument(
+          std::string(ImplKindName(va.impl)) +
+          " has the wrong arity for the op at v" + std::to_string(v));
+    }
+    st.label = "v" + std::to_string(v) + ":" + ImplKindName(va.impl);
+    st.vertex = v;
+    st.impl = va.impl;
+    double out_sparsity =
+        FormatOf(va.output_format).sparse() ? vx.sparsity : 1.0;
+    st.skeleton =
+        MakeDryRelation(vx.type, va.output_format, out_sparsity, cluster);
+    st.args = std::move(args);
+    value[v] = StageArg{push(std::move(st)), v};
+  }
+  return stages;
 }
 
 }  // namespace matopt::dist

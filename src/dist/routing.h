@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,18 +11,20 @@
 
 #include "common/status.h"
 #include "core/format/format.h"
+#include "core/graph/graph.h"
 #include "core/ops/catalog.h"
+#include "core/opt/annotation.h"
 #include "engine/cluster.h"
 #include "engine/relation.h"
 
 namespace matopt::dist {
 
 /// Routing: which output chunk keys need each argument tuple. The owner of
-/// an output key comes from the output skeleton, so the projection pass,
-/// the data pass, and the static dataflow analyzer all derive identical
-/// destinations from metadata alone — routing never looks at payloads or
-/// densities, which is what makes the analyzer's per-stage byte intervals
-/// line up with the runtime's stage records label for label.
+/// an output key comes from the output skeleton, so destinations derive
+/// from relation metadata alone — routing never looks at payloads or
+/// densities. BuildStageList turns an annotated plan into its ordered
+/// exchange stages once; the sharded runtime predicts and runs them, and
+/// the static dataflow analyzer bounds them, from that one list.
 
 enum class Route {
   kIdentity,       // arg key == out key (co-partitioned, never moves)
@@ -36,20 +39,10 @@ enum class Route {
   kColGroup,       // (*, c) -> out key (0, c)
 };
 
-/// Per-argument routes of an implementation's exchange stage.
-std::vector<Route> RoutesFor(ImplKind kind);
-
 /// Produces the out keys an arg tuple is needed at. kBroadcast never
 /// consults the key fn: its destinations are every worker.
 using KeyFn = std::function<void(const EngineTuple&,
                                  std::vector<std::pair<int64_t, int64_t>>*)>;
-
-KeyFn KeyFnFor(Route route, int64_t nr_out, int64_t nc_out);
-
-/// Grid-overlap routing for format transformations: a source chunk is
-/// needed by every target chunk whose region it intersects.
-KeyFn GridOverlapKeyFn(const MatrixType& type, const Format& src_fmt,
-                       const Format& dst_fmt);
 
 /// Out-key -> owning runtime worker, from the output skeleton.
 struct OwnerMap {
@@ -58,7 +51,53 @@ struct OwnerMap {
   int64_t nc = 0;
 };
 
-OwnerMap MapOwners(const Relation& skeleton, int num_workers);
+/// Where a stage argument comes from: the output of earlier stage `stage`,
+/// or (stage == -1) the graph input relation of `vertex`. `vertex` is
+/// always the graph vertex whose matrix the argument holds.
+struct StageArg {
+  int stage = -1;
+  int vertex = -1;
+};
+
+/// One exchange stage of a sharded plan: a format transformation on one
+/// input edge of `vertex` (routed by chunk-grid overlap), or the vertex's
+/// implementation (routed per argument by the implementation's routes).
+struct Stage {
+  std::string label;  // "v<id>:<impl>" or "v<id>.arg<j>:transform:<kind>"
+  int vertex = -1;
+  int edge_arg = -1;  // transform stages only; -1 for impl stages
+  std::optional<ImplKind> impl;            // set on impl stages
+  std::optional<TransformKind> transform;  // set on transform stages
+  std::vector<StageArg> args;
+  Relation skeleton;  // dry output relation (metadata only)
+  OwnerMap owners;    // of `skeleton`'s keys
+  std::vector<Route> routes;
+  std::vector<KeyFn> keyfns;
+};
+
+/// The plan's exchange stages in execution order: per vertex in graph
+/// order, one stage per transformed input edge, then the implementation
+/// stage. Metadata only: `dry_inputs` holds a dry relation per graph input.
+/// Typed errors for a malformed plan — annotation size, edge count,
+/// topological order, implementation arity, infeasible transformation.
+Result<std::vector<Stage>> BuildStageList(
+    const Catalog& catalog, const ClusterConfig& cluster,
+    const ComputeGraph& graph, const Annotation& annotation,
+    const std::unordered_map<int, Relation>& dry_inputs, int num_workers);
+
+/// The relations `stage` reads: `output(i)` for earlier stage i's output,
+/// `inputs` for graph inputs.
+template <typename OutputFn>
+std::vector<const Relation*> StageArgs(
+    const Stage& stage, const std::unordered_map<int, Relation>& inputs,
+    OutputFn output) {
+  std::vector<const Relation*> rels;
+  rels.reserve(stage.args.size());
+  for (const StageArg& a : stage.args) {
+    rels.push_back(a.stage >= 0 ? &output(a.stage) : &inputs.at(a.vertex));
+  }
+  return rels;
+}
 
 /// Move plan of one stage: per argument, the destination workers of every
 /// tuple plus the traffic this routing implies.
@@ -74,28 +113,25 @@ struct StagePlan {
   double tuples = 0.0;           // all deliveries incl. local
 };
 
-/// Pure routing: destination workers per tuple and the delivery count
-/// (both functions of relation metadata only — no byte accounting, no
-/// budget enforcement). Cannot fail.
-StagePlan RouteStage(const std::vector<const Relation*>& args,
-                     const std::vector<Route>& routes,
-                     const std::vector<KeyFn>& keyfns, const OwnerMap& owners,
+/// Pure routing of `stage` over the argument relations `args`: destination
+/// workers per tuple and the delivery count (both functions of relation
+/// metadata only — no byte accounting, no budget enforcement). Cannot
+/// fail.
+StagePlan RouteStage(const Stage& stage,
+                     const std::vector<const Relation*>& args,
                      int num_workers);
 
-/// Full stage planning for the runtime passes: routes, then accounts the
+/// Full stage planning for the runtime: routes, then accounts the
 /// shuffle/broadcast bytes this plan moves and enforces the cluster
 /// budgets (broadcast_cap_bytes per replicated relation,
 /// single_tuple_cap_bytes per routed tuple, worker_spill_bytes on a
-/// worker's remote shuffle inbound). Built the same way by the projection
-/// pass (estimated sparsity) and the data pass (measured sparsity); budget
-/// enforcement happens here, on the coordinator, before anything is sent —
-/// so violations are deterministic typed errors, never a worker-dependent
-/// race.
-Result<StagePlan> PlanStage(const std::string& label,
+/// worker's remote shuffle inbound). The runtime calls it on a stage's dry
+/// arguments (estimated sparsity) to predict, then on its real arguments
+/// (measured sparsity) to run; budget enforcement happens here, on the
+/// coordinator, before anything is sent — so violations are deterministic
+/// typed errors, never a worker-dependent race.
+Result<StagePlan> PlanStage(const Stage& stage,
                             const std::vector<const Relation*>& args,
-                            const std::vector<Route>& routes,
-                            const std::vector<KeyFn>& keyfns,
-                            const OwnerMap& owners,
                             const ClusterConfig& cluster, int num_workers);
 
 }  // namespace matopt::dist

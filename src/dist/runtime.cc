@@ -9,19 +9,15 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/format/format.h"
 #include "dist/exchange.h"
 #include "dist/partition.h"
 #include "dist/routing.h"
-#include "engine/operators.h"
 #include "engine/relation.h"
 #include "engine/tuple_compute.h"
 
 namespace matopt::dist {
 
 namespace {
-
-const Format& FormatOf(FormatId id) { return BuiltinFormats()[id]; }
 
 // ---------------------------------------------------------------------
 // Pass driver.
@@ -52,63 +48,33 @@ struct ArgExchange {
   }
 };
 
-struct PassEnv {
-  const Catalog& catalog;
+struct DataEnv {
   const ClusterConfig& cluster;
   const ComputeGraph& graph;
-  const Annotation& annotation;
   int num_workers;
-  bool data;             // data pass (exchanges + kernels) vs projection
-  Transport* transport;  // data pass only
-  std::vector<DistExchangeRecord>* records;
-  size_t record_idx = 0;  // data pass: next record to fill
-  DistStats* dist = nullptr;
-  std::vector<double>* busy = nullptr;  // data pass only
+  Transport* transport;
+  DistStats* dist;
+  std::vector<double>* busy;
 };
 
-/// Runs one exchange stage: plan the moves and enforce budgets, account
-/// them into the stage's DistExchangeRecord, and — on the data pass —
-/// execute the phased send / gather / compute protocol, each worker
-/// filling its out slots through the tuple-compute table, and install the
-/// computed payloads into `skeleton`.
-Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
-                                  const TupleStage& stage,
-                                  const std::vector<Route>& routes,
-                                  std::vector<KeyFn> keyfns,
-                                  Relation skeleton) {
-  const std::vector<const Relation*>& args = stage.args;
+/// Runs one listed stage on real data: plans the moves and enforces the
+/// budgets on the measured arguments, executes the phased send / gather /
+/// compute protocol — each worker filling its out slots through the
+/// tuple-compute table — fills the measured side of `rec`, and returns
+/// the stage's output relation.
+Result<Relation> RunStage(const DataEnv& env, const Stage& st,
+                          const std::vector<const Relation*>& args,
+                          DistExchangeRecord& rec) {
   const int W = env.num_workers;
-  OwnerMap owners = MapOwners(skeleton, W);
-  if (keyfns.empty()) {
-    for (Route r : routes) {
-      keyfns.push_back(KeyFnFor(r, owners.nr, owners.nc));
-    }
-  }
-  MATOPT_ASSIGN_OR_RETURN(
-      StagePlan plan,
-      PlanStage(label, args, routes, keyfns, owners, env.cluster, W));
-
-  if (!env.data) {
-    DistExchangeRecord rec;
-    rec.label = label;
-    rec.predicted_shuffle_bytes = plan.shuffle_bytes;
-    rec.predicted_broadcast_bytes = plan.broadcast_bytes;
-    rec.predicted_tuples = plan.tuples;
-    rec.shard_skew = ShardSkew(skeleton, W);
-    env.records->push_back(std::move(rec));
-    return skeleton;
-  }
-
-  if (env.record_idx >= env.records->size() ||
-      (*env.records)[env.record_idx].label != label) {
-    return Status::Internal("projection/data stage sequences diverged at " +
-                            label);
-  }
-  DistExchangeRecord& rec = (*env.records)[env.record_idx++];
+  MATOPT_ASSIGN_OR_RETURN(StagePlan plan,
+                          PlanStage(st, args, env.cluster, W));
+  Relation skeleton = st.skeleton;
+  const TupleStage stage{
+      st.impl, st.impl ? &env.graph.vertex(st.vertex) : nullptr, args};
 
   std::vector<ArgExchange> exchanges(args.size());
   for (size_t j = 0; j < args.size(); ++j) {
-    std::string ex_label = label + ":arg" + std::to_string(j);
+    std::string ex_label = st.label + ":arg" + std::to_string(j);
     if (plan.args[j].broadcast) {
       exchanges[j].bcast = std::make_unique<BroadcastExchange>(
           *env.transport, ex_label, W, plan.args[j].sparse_layout);
@@ -193,12 +159,9 @@ Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
 
   // A transformation's sparse target reports its measured sparsity.
   InstallPayloads(std::move(slots),
-                  /*measure_sparsity=*/!stage.kind.has_value(), &skeleton);
+                  /*measure_sparsity=*/st.transform.has_value(), &skeleton);
 
   // Measured side of the record, from the transport/exchange counters.
-  rec.measured_shuffle_bytes = 0.0;
-  rec.measured_broadcast_bytes = 0.0;
-  rec.measured_tuples = 0.0;
   for (size_t j = 0; j < args.size(); ++j) {
     ChannelStats remote = exchanges[j].Remote();
     ChannelStats local = exchanges[j].Local();
@@ -218,83 +181,6 @@ Result<Relation> RunExchangeStage(PassEnv& env, const std::string& label,
   return skeleton;
 }
 
-Result<Relation> RunTransformStage(PassEnv& env, const std::string& label,
-                                   TransformKind kind, const Relation& input) {
-  MATOPT_ASSIGN_OR_RETURN(
-      Relation skeleton,
-      TransformSkeleton(env.catalog, kind, input, env.cluster));
-  std::vector<KeyFn> keyfns;
-  keyfns.push_back(GridOverlapKeyFn(input.type, FormatOf(input.format),
-                                    FormatOf(skeleton.format)));
-  return RunExchangeStage(env, label,
-                          TupleStage{std::nullopt, nullptr, {&input}},
-                          {Route::kIdentity}, std::move(keyfns),
-                          std::move(skeleton));
-}
-
-/// Runs every annotated atomic computation of the plan as per-shard local
-/// kernels plus exchanges, in vertex order. The projection and data passes
-/// share this loop so their stage sequences match record for record.
-Status RunPass(PassEnv& env, std::unordered_map<int, Relation> relations,
-               std::unordered_map<int, Relation>* sinks) {
-  const ComputeGraph& graph = env.graph;
-  for (int v = 0; v < graph.num_vertices(); ++v) {
-    const Vertex& vx = graph.vertex(v);
-    if (vx.op == OpKind::kInput) {
-      if (relations.find(v) == relations.end()) {
-        return Status::InvalidArgument("missing input relation for vertex " +
-                                       std::to_string(v));
-      }
-      continue;
-    }
-    const VertexAnnotation& va = env.annotation.at(v);
-
-    // Per-edge transformations, each its own exchange stage.
-    std::vector<Relation> transformed;
-    transformed.reserve(vx.inputs.size());
-    std::vector<const Relation*> args;
-    for (size_t j = 0; j < vx.inputs.size(); ++j) {
-      const Relation& in = relations.at(vx.inputs[j]);
-      if (va.input_edges[j].transform.has_value()) {
-        std::string label = "v" + std::to_string(v) + ".arg" +
-                            std::to_string(j) + ":transform:" +
-                            TransformKindName(*va.input_edges[j].transform);
-        MATOPT_ASSIGN_OR_RETURN(
-            Relation tr,
-            RunTransformStage(env, label, *va.input_edges[j].transform, in));
-        transformed.push_back(std::move(tr));
-        args.push_back(&transformed.back());
-      } else {
-        args.push_back(&in);
-      }
-    }
-
-    // The implementation stage. The output skeleton follows the annotated
-    // output format; the estimated sparsity stays on the relation (like
-    // the single-node path) while tuples get measured payload sparsities.
-    std::string label = "v" + std::to_string(v) + ":" + ImplKindName(va.impl);
-    FormatId out_format = va.output_format;
-    double out_sparsity = FormatOf(out_format).sparse() ? vx.sparsity : 1.0;
-    Relation skeleton =
-        MakeDryRelation(vx.type, out_format, out_sparsity, env.cluster);
-    MATOPT_ASSIGN_OR_RETURN(
-        Relation out_rel,
-        RunExchangeStage(env, label, TupleStage{va.impl, &vx, args},
-                         RoutesFor(va.impl), {}, std::move(skeleton)));
-    relations[v] = std::move(out_rel);
-  }
-
-  for (int sink : graph.Sinks()) {
-    auto it = relations.find(sink);
-    if (it == relations.end()) {
-      return Status::Internal("sink vertex " + std::to_string(sink) +
-                              " produced no relation");
-    }
-    sinks->emplace(sink, std::move(it->second));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<ExecResult> ExecuteDistributedPlan(
@@ -305,14 +191,11 @@ Result<ExecResult> ExecuteDistributedPlan(
   if (num_workers < 1) {
     return Status::InvalidArgument("distributed execution needs >= 1 worker");
   }
-  auto make_dry_inputs = [&] {
-    std::unordered_map<int, Relation> dry;
-    for (const auto& [v, rel] : inputs) {
-      dry.emplace(v,
-                  MakeDryRelation(rel.type, rel.format, rel.sparsity, cluster));
-    }
-    return dry;
-  };
+  std::unordered_map<int, Relation> dry_inputs;
+  for (const auto& [v, rel] : inputs) {
+    dry_inputs.emplace(
+        v, MakeDryRelation(rel.type, rel.format, rel.sparsity, cluster));
+  }
 
   // Pass 1 — simulation: the unchanged single-node dry pass supplies the
   // full simulated ExecStats, runs the pre-flight plan analysis, and
@@ -321,51 +204,76 @@ Result<ExecResult> ExecuteDistributedPlan(
   sim.set_fusion(fusion);
   sim.set_dist_workers(0);
   MATOPT_ASSIGN_OR_RETURN(ExecResult result,
-                          sim.Execute(graph, annotation, make_dry_inputs()));
-  result.stats.dist.num_workers = num_workers;
+                          sim.Execute(graph, annotation, dry_inputs));
+  DistStats& dist = result.stats.dist;
+  dist.num_workers = num_workers;
 
-  // Pass 2 — projection: walk the same stage sequence over dry relations
-  // and predict each exchange's traffic from relation metadata.
-  PassEnv proj{catalog,
-               cluster,
-               graph,
-               annotation,
-               num_workers,
-               /*data=*/false,
-               /*transport=*/nullptr,
-               &result.stats.dist.stages};
-  proj.dist = &result.stats.dist;
-  std::unordered_map<int, Relation> dry_sinks;
-  MATOPT_RETURN_IF_ERROR(RunPass(proj, make_dry_inputs(), &dry_sinks));
+  // The plan's exchange stages, once. Each stage's predicted traffic comes
+  // from its dry arguments, before any data moves.
+  MATOPT_ASSIGN_OR_RETURN(
+      std::vector<Stage> stages,
+      BuildStageList(catalog, cluster, graph, annotation, dry_inputs,
+                     num_workers));
+  auto skeleton_of = [&stages](int i) -> const Relation& {
+    return stages[i].skeleton;
+  };
+  for (const Stage& st : stages) {
+    MATOPT_ASSIGN_OR_RETURN(
+        StagePlan plan, PlanStage(st, StageArgs(st, dry_inputs, skeleton_of),
+                                  cluster, num_workers));
+    DistExchangeRecord rec;
+    rec.label = st.label;
+    rec.predicted_shuffle_bytes = plan.shuffle_bytes;
+    rec.predicted_broadcast_bytes = plan.broadcast_bytes;
+    rec.predicted_tuples = plan.tuples;
+    rec.shard_skew = ShardSkew(st.skeleton, num_workers);
+    dist.stages.push_back(std::move(rec));
+  }
 
-  // Pass 3 — data: real exchanges over the transport, per-shard kernels,
-  // measured counters filled into the records the projection pass wrote.
-  // Budget enforcement lives in PlanStage, so the fallback transport is
-  // deliberately unbounded: violations surface as the coordinator's typed
-  // errors, never as a mid-flight channel failure.
+  // Pass 2 — data: the same list over real relations — exchanges over the
+  // transport, per-shard kernels, measured counters into each stage's
+  // record. Budget enforcement lives in PlanStage, so the fallback
+  // transport is deliberately unbounded: violations surface as the
+  // coordinator's typed errors, never as a mid-flight channel failure.
   std::unique_ptr<InMemoryTransport> fallback;
   if (transport == nullptr) {
     fallback = std::make_unique<InMemoryTransport>(TransportLimits{});
     transport = fallback.get();
   }
   std::vector<double> busy(num_workers, 0.0);
-  PassEnv data{catalog,
-               cluster,
-               graph,
-               annotation,
-               num_workers,
-               /*data=*/true,
-               transport,
-               &result.stats.dist.stages};
-  data.dist = &result.stats.dist;
-  data.busy = &busy;
-  std::unordered_map<int, Relation> sinks;
-  MATOPT_RETURN_IF_ERROR(RunPass(data, std::move(inputs), &sinks));
-  if (data.record_idx != result.stats.dist.stages.size()) {
-    return Status::Internal("data pass executed fewer stages than projected");
+  const DataEnv env{cluster, graph, num_workers, transport, &dist, &busy};
+  // A stage's output is dropped once its last reader has run.
+  std::vector<size_t> last_read(stages.size(), stages.size());
+  for (size_t i = 0; i < stages.size(); ++i) {
+    for (const StageArg& a : stages[i].args) {
+      if (a.stage >= 0) last_read[a.stage] = i;
+    }
+  }
+  std::vector<Relation> outs(stages.size());
+  auto output_of = [&outs](int i) -> const Relation& { return outs[i]; };
+  for (size_t i = 0; i < stages.size(); ++i) {
+    const Stage& st = stages[i];
+    MATOPT_ASSIGN_OR_RETURN(
+        outs[i],
+        RunStage(env, st, StageArgs(st, inputs, output_of), dist.stages[i]));
+    for (const StageArg& a : st.args) {
+      if (a.stage >= 0 && last_read[a.stage] == i) outs[a.stage] = Relation();
+    }
   }
 
-  result.stats.dist.worker_busy_seconds = std::move(busy);
+  // Sinks: unread graph inputs and unread implementation stages.
+  std::unordered_map<int, Relation> sinks;
+  for (int sink : graph.Sinks()) {
+    if (graph.vertex(sink).op == OpKind::kInput) {
+      sinks.emplace(sink, std::move(inputs.at(sink)));
+    }
+  }
+  for (size_t i = 0; i < stages.size(); ++i) {
+    if (stages[i].impl.has_value() && last_read[i] == stages.size()) {
+      sinks.emplace(stages[i].vertex, std::move(outs[i]));
+    }
+  }
+  dist.worker_busy_seconds = std::move(busy);
   result.sinks = std::move(sinks);
   return result;
 }

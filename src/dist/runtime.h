@@ -17,10 +17,11 @@ namespace matopt::dist {
 /// only through shuffle/broadcast exchanges over `transport` (a bounded
 /// in-memory transport scoped to this call when null).
 ///
-/// Runs three passes: a single-node dry pass for the full simulated
-/// ExecStats (including the sim-side budget failures), a projection pass
-/// that predicts each stage's exchange traffic from relation metadata, and
-/// the data pass that routes real payloads and fills in the measured side
+/// Runs a single-node dry pass for the full simulated ExecStats
+/// (including the sim-side budget failures), then builds the plan's stage
+/// list (BuildStageList, dist/routing.h) once: each listed stage's
+/// exchange traffic is predicted from its dry arguments, and one data walk
+/// over the same list routes real payloads and fills in the measured side
 /// of each DistExchangeRecord. Each worker fills its out tuples through the
 /// same tuple-compute table the single-node executor runs
 /// (engine/tuple_compute.h), so sink relations are bit-identical to a
@@ -32,7 +33,7 @@ namespace matopt::dist {
 /// replicated relation, worker_spill_bytes on a worker's per-stage remote
 /// shuffle inbound. Violations return typed kOutOfMemory errors.
 /// `fusion` is forwarded to the dry pass so the simulated MemoryStats
-/// reflect the caller's fused-group setting; the data pass itself runs
+/// reflect the caller's fused-group setting; the data walk itself runs
 /// stage-by-stage per shard and never applies fused chains.
 Result<ExecResult> ExecuteDistributedPlan(
     const Catalog& catalog, const ClusterConfig& cluster,

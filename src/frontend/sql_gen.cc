@@ -114,23 +114,29 @@ void EmitImpl(std::ostringstream& out, const ComputeGraph& graph, int v,
   std::string name = RelName(graph, v);
   out << "-- " << OpKindName(graph.vertex(v).op) << " via "
       << ImplKindName(va.impl) << "\n";
+  if (ImplClassOf(va.impl) == ImplClass::kGpu) {
+    out << "-- GPU: the CPU plan's view, arithmetic on the worker's GPU\n";
+  }
   out << "CREATE VIEW " << name << " AS\n";
   auto a0 = [&] { return arg_names[0]; };
   auto a1 = [&] { return arg_names.size() > 1 ? arg_names[1] : ""; };
   switch (va.impl) {
     case ImplKind::kMmSingleSingle:
     case ImplKind::kMmSpSingleXSingle:
+    case ImplKind::kGpuMmSingleSingle:
       out << "  SELECT matrix_multiply(x.mat, m.mat) AS mat\n"
           << "  FROM " << a0() << " AS x, " << a1() << " AS m;\n";
       break;
     case ImplKind::kMmRowStripsXBcastSingle:
     case ImplKind::kMmSpRowStripsXBcastSingle:
+    case ImplKind::kGpuMmRowStripsXBcastSingle:
       out << "  SELECT x.tileRow, matrix_multiply(x.mat, m.mat) AS mat\n"
           << "  FROM " << a0() << " AS x, " << a1()
           << " AS m;  -- broadcast join (rhs replicated)\n";
       break;
     case ImplKind::kMmBcastSingleXColStrips:
     case ImplKind::kMmSpSingleXColStrips:
+    case ImplKind::kGpuMmBcastSingleXColStrips:
       out << "  SELECT m.tileCol, matrix_multiply(x.mat, m.mat) AS mat\n"
           << "  FROM " << a0() << " AS x, " << a1()
           << " AS m;  -- broadcast join (lhs replicated)\n";
@@ -230,6 +236,7 @@ void EmitImpl(std::ostringstream& out, const ComputeGraph& graph, int v,
           << " AS v;  -- broadcast join\n";
       break;
     case ImplKind::kInverseSingleLu:
+    case ImplKind::kGpuInverseSingleLu:
       out << "  SELECT matrix_inverse(x.mat) AS mat FROM " << a0()
           << " AS x;\n";
       break;

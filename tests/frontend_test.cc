@@ -220,5 +220,43 @@ TEST(SqlGen, TransformsEmitChunkingViews) {
   EXPECT_NE(sql.find("CREATE VIEW O"), std::string::npos);
 }
 
+TEST(SqlGen, EveryImplEmitsAViewBody) {
+  Catalog catalog;
+  FormatId single = catalog.FindFormat({Layout::kSingleTuple, 0, 0});
+  std::vector<ImplKind> impls = Catalog::AllImpls();
+  for (ImplKind kind : Catalog::GpuImpls()) impls.push_back(kind);
+  for (ImplKind kind : impls) {
+    SCOPED_TRACE(ImplKindName(kind));
+    OpKind op = ImplOp(kind);
+    ComputeGraph g;
+    std::vector<int> args;
+    for (int j = 0; j < OpArity(op); ++j) {
+      MatrixType type = op == OpKind::kBroadcastRowAdd && j == 1
+                            ? MatrixType(1, 4)
+                            : MatrixType(4, 4);
+      args.push_back(g.AddInput(type, single, "A" + std::to_string(j)));
+    }
+    auto out = g.AddOp(op, args, "O");
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    Annotation ann;
+    ann.vertices.resize(g.num_vertices());
+    for (int a : args) {
+      ann.at(a).output_format = single;
+      ann.at(out.value()).input_edges.push_back({single, std::nullopt, single});
+    }
+    ann.at(out.value()).impl = kind;
+    ann.at(out.value()).output_format = single;
+    std::string sql = GenerateSql(g, ann, catalog);
+    size_t view = sql.find("CREATE VIEW O AS\n");
+    ASSERT_NE(view, std::string::npos) << sql;
+    size_t select = sql.find("  SELECT ", view);
+    EXPECT_NE(select, std::string::npos) << sql;
+    EXPECT_NE(sql.find(';', select), std::string::npos) << sql;
+    EXPECT_EQ(ImplClassOf(kind) == ImplClass::kGpu,
+              sql.find("-- GPU") != std::string::npos)
+        << sql;
+  }
+}
+
 }  // namespace
 }  // namespace matopt

@@ -282,7 +282,9 @@ TEST_F(RewriteTest, ScalarHoistExactnessDependsOnScalar) {
   for (const RewriteCandidate& cand :
        EnumerateRewrites(build(0.3), options).candidates) {
     for (const RewriteStep& step : cand.chain) {
-      if (step.rule == RewriteRule::kScalarHoist) EXPECT_FALSE(step.exact);
+      if (step.rule == RewriteRule::kScalarHoist) {
+        EXPECT_FALSE(step.exact);
+      }
     }
   }
   CheckClosureSemantics(build(0.3), options);
