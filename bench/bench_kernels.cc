@@ -9,8 +9,13 @@
 //   --threads N   pool size (default 1: the roofline target is
 //                 single-thread microkernel throughput)
 //
-// Exit codes: 0 ok, 1 SIMD GEMM slower than scalar (perf regression),
-// 2 scalar/SIMD outputs not bit-identical (contract violation).
+// The inverse family also memcmps the SIMD output against the textbook
+// reference inverse (fuzz::ReferenceInverse): the blocked LU must not move
+// a bit.
+//
+// Exit codes: 0 ok, 1 SIMD GEMM or inverse slower than scalar (perf
+// regression), 2 scalar/SIMD outputs not bit-identical, or an inverse not
+// bit-identical to the reference (contract violation).
 
 #include <algorithm>
 #include <cstdio>
@@ -23,6 +28,7 @@
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "fuzz/reference.h"
 #include "la/kernels.h"
 #include "la/simd.h"
 #include "ml/generators.h"
@@ -187,18 +193,35 @@ int Main(int argc, char** argv) {
     PrintRow(results.back());
   }
 
+  const std::vector<int64_t> inverse_sizes =
+      quick ? std::vector<int64_t>{256} : std::vector<int64_t>{256, 512, 1024};
+  for (int64_t s : inverse_sizes) {
+    const DenseMatrix a = GaussianMatrix(s, s, 8);
+    DenseMatrix inv;
+    results.push_back(RunCase("inverse_" + std::to_string(s),
+                              2.0 * s * s * s, reps, &inv,
+                              [&]() { inv = Inverse(a).value(); }));
+    const DenseMatrix ref = fuzz::ReferenceInverse(a).value();
+    results.back().bit_identical =
+        results.back().bit_identical &&
+        std::memcmp(ref.data(), inv.data(),
+                    sizeof(double) * static_cast<size_t>(ref.size())) == 0;
+    PrintRow(results.back());
+  }
+
   WriteJson(results, threads);
 
   int rc = 0;
   for (const CaseResult& r : results) {
     if (!r.bit_identical) {
-      std::fprintf(stderr, "FAIL: %s scalar/simd outputs differ\n",
-                   r.name.c_str());
+      std::fprintf(stderr, "FAIL: %s outputs differ\n", r.name.c_str());
       rc = 2;
     }
-    // Regression gate: the vectorized GEMM must never lose to the scalar
-    // kernel it replaces.
-    if (r.name.rfind("gemm_", 0) == 0 && r.simd_seconds > r.scalar_seconds) {
+    // Regression gate: the vectorized GEMM and inverse must never lose to
+    // the scalar kernels they replace.
+    const bool gated =
+        r.name.rfind("gemm_", 0) == 0 || r.name.rfind("inverse_", 0) == 0;
+    if (gated && r.simd_seconds > r.scalar_seconds) {
       std::fprintf(stderr,
                    "FAIL: %s simd (%.4fs) slower than scalar (%.4fs)\n",
                    r.name.c_str(), r.simd_seconds, r.scalar_seconds);

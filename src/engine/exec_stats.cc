@@ -85,11 +85,14 @@ std::string RewriteStats::ToString() const {
 }
 
 std::string ExecStats::RooflineString() const {
-  if (kernels.gemm_calls == 0 && kernels.elem_calls == 0) return "";
+  const int64_t calls =
+      kernels.gemm_calls + kernels.elem_calls + kernels.inverse_calls;
+  if (calls == 0) return "";
   std::ostringstream out;
   out << "local kernel roofline (" << SimdIsaName() << " path on "
-      << kernels.gemm_simd_calls + kernels.elem_simd_calls << "/"
-      << kernels.gemm_calls + kernels.elem_calls << " calls):\n";
+      << kernels.gemm_simd_calls + kernels.elem_simd_calls +
+             kernels.inverse_simd_calls
+      << "/" << calls << " calls):\n";
   if (kernels.gemm_calls > 0) {
     out << "  gemm: " << FormatFlops(kernels.gemm_flops) << " over "
         << FormatBytes(kernels.gemm_bytes) << " ("
@@ -109,6 +112,14 @@ std::string ExecStats::RooflineString() const {
         << FormatIntensity(kernels.elem_flops /
                            std::max(1.0, kernels.elem_bytes))
         << "), " << kernels.elem_calls << " calls\n";
+  }
+  if (kernels.inverse_calls > 0) {
+    out << "  inverse: " << FormatFlops(kernels.inverse_flops);
+    if (kernels.inverse_seconds > 0.0) {
+      out << ", achieved "
+          << FormatFlopRate(kernels.inverse_flops / kernels.inverse_seconds);
+    }
+    out << " in " << kernels.inverse_calls << " calls\n";
   }
   return out.str();
 }

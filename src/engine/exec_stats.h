@@ -187,7 +187,8 @@ struct ExecStats {
   std::string ToString() const;
 
   /// Human-readable roofline view of `kernels`: arithmetic intensity and
-  /// achieved FLOPS of the GEMM and element-wise paths. Empty when no
+  /// achieved FLOPS of the GEMM and element-wise paths, and the LU
+  /// inverse's 2n^3 charge with its achieved FLOPS. Empty when no
   /// kernel activity was recorded (e.g. dry runs).
   std::string RooflineString() const;
 };

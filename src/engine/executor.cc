@@ -980,9 +980,10 @@ Result<ExecResult> PlanExecutor::Execute(
           KernelCountersDelta(before, KernelCountersSnapshot());
       if (result.stats.stages.empty()) return;
       ExecStats::StageRecord& rec = result.stats.stages.back();
-      rec.kernel_flops += delta.gemm_flops + delta.elem_flops;
+      rec.kernel_flops +=
+          delta.gemm_flops + delta.elem_flops + delta.inverse_flops;
       rec.kernel_bytes += delta.gemm_bytes + delta.elem_bytes;
-      rec.kernel_seconds += delta.gemm_seconds;
+      rec.kernel_seconds += delta.gemm_seconds + delta.inverse_seconds;
       const MemoryStats& now = result.stats.memory;
       rec.mem_bytes_copied += now.bytes_copied - mem_before.bytes_copied;
       rec.mem_bytes_moved += now.bytes_moved - mem_before.bytes_moved;

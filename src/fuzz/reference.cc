@@ -1,9 +1,9 @@
 #include "fuzz/reference.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
-
-#include "la/kernels.h"
 
 namespace matopt::fuzz {
 
@@ -92,6 +92,57 @@ DenseMatrix NaiveBroadcastRowAdd(const DenseMatrix& a, const DenseMatrix& v) {
 
 }  // namespace
 
+Result<DenseMatrix> ReferenceInverse(const DenseMatrix& a) {
+  if (a.rows() != a.cols()) {
+    return Status::InvalidArgument("Inverse requires a square matrix");
+  }
+  const int64_t n = a.rows();
+  DenseMatrix lu = a;
+  std::vector<int64_t> perm(n);
+  for (int64_t i = 0; i < n; ++i) perm[i] = i;
+
+  // Unblocked right-looking LU with partial pivoting, in place.
+  for (int64_t k = 0; k < n; ++k) {
+    int64_t pivot = k;
+    double best = std::abs(lu(k, k));
+    for (int64_t r = k + 1; r < n; ++r) {
+      if (std::abs(lu(r, k)) > best) {
+        best = std::abs(lu(r, k));
+        pivot = r;
+      }
+    }
+    if (best == 0.0) {
+      return Status::InvalidArgument("Inverse of a singular matrix");
+    }
+    if (pivot != k) {
+      for (int64_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(pivot, c));
+      std::swap(perm[k], perm[pivot]);
+    }
+    for (int64_t r = k + 1; r < n; ++r) {
+      lu(r, k) /= lu(k, k);
+      const double f = lu(r, k);
+      if (f == 0.0) continue;
+      for (int64_t c = k + 1; c < n; ++c) lu(r, c) -= f * lu(k, c);
+    }
+  }
+
+  // Solve LU x = P e_j one column at a time.
+  DenseMatrix out(n, n);
+  std::vector<double> y(n);
+  for (int64_t j = 0; j < n; ++j) {
+    for (int64_t i = 0; i < n; ++i) y[i] = (perm[i] == j) ? 1.0 : 0.0;
+    for (int64_t i = 0; i < n; ++i) {       // forward substitution (L)
+      for (int64_t c = 0; c < i; ++c) y[i] -= lu(i, c) * y[c];
+    }
+    for (int64_t i = n - 1; i >= 0; --i) {  // back substitution (U)
+      for (int64_t c = i + 1; c < n; ++c) y[i] -= lu(i, c) * y[c];
+      y[i] /= lu(i, i);
+    }
+    for (int64_t i = 0; i < n; ++i) out(i, j) = y[i];
+  }
+  return out;
+}
+
 namespace {
 
 Result<std::vector<DenseMatrix>> EvaluateVertices(
@@ -173,7 +224,7 @@ Result<std::vector<DenseMatrix>> EvaluateVertices(
         values[v] = NaiveBroadcastRowAdd(arg(0), arg(1));
         break;
       case OpKind::kInverse: {
-        MATOPT_ASSIGN_OR_RETURN(values[v], Inverse(arg(0)));
+        MATOPT_ASSIGN_OR_RETURN(values[v], ReferenceInverse(arg(0)));
         break;
       }
       case OpKind::kInput:

@@ -14,16 +14,23 @@ namespace matopt::fuzz {
 /// a direct textbook loop (no blocking, no zero-skip gate, no threading,
 /// no buffer reuse), so a fault anywhere in the optimized stack — kernels,
 /// operators, executor, memory layer — shows up as a numerical mismatch.
-/// The one exception is kInverse, which delegates to the library's LU
-/// kernel: a second pivoting implementation would differ by more than the
-/// comparison tolerance on ill-conditioned inputs, and the distributed
-/// assembly around the inverse is what the oracle is after.
+/// kInverse runs ReferenceInverse below, not the library's blocked LU.
 ///
 /// Evaluates every vertex up to `target` (the whole graph when target is
 /// -1) and returns the values of the graph's sink vertices.
 Result<std::map<int, DenseMatrix>> EvaluateReference(
     const ComputeGraph& graph, const std::map<int, DenseMatrix>& inputs,
     int target = -1);
+
+/// Textbook inverse: unblocked right-looking LU with partial pivoting
+/// (skipping exact-zero multipliers), then one forward and one back
+/// substitution per column of P·I, every sum in ascending index order.
+/// The production `Inverse` performs each element's operations in this
+/// same sequence, so the two agree bit for bit; a pivoting reference that
+/// rounded differently would disagree beyond any useful tolerance on
+/// ill-conditioned inputs. Fails like `Inverse` on a non-square or
+/// singular input.
+Result<DenseMatrix> ReferenceInverse(const DenseMatrix& a);
 
 /// Evaluates the whole graph and returns every vertex's value (indexed by
 /// vertex id). The bounds-soundness oracle measures per-vertex densities

@@ -18,6 +18,10 @@ struct AtomicCounters {
   std::atomic<double> elem_bytes{0.0};
   std::atomic<int64_t> elem_calls{0};
   std::atomic<int64_t> elem_simd_calls{0};
+  std::atomic<double> inverse_flops{0.0};
+  std::atomic<double> inverse_seconds{0.0};
+  std::atomic<int64_t> inverse_calls{0};
+  std::atomic<int64_t> inverse_simd_calls{0};
 };
 
 AtomicCounters& Counters() {
@@ -46,6 +50,11 @@ KernelCounters KernelCountersSnapshot() {
   out.elem_bytes = c.elem_bytes.load(std::memory_order_relaxed);
   out.elem_calls = c.elem_calls.load(std::memory_order_relaxed);
   out.elem_simd_calls = c.elem_simd_calls.load(std::memory_order_relaxed);
+  out.inverse_flops = c.inverse_flops.load(std::memory_order_relaxed);
+  out.inverse_seconds = c.inverse_seconds.load(std::memory_order_relaxed);
+  out.inverse_calls = c.inverse_calls.load(std::memory_order_relaxed);
+  out.inverse_simd_calls =
+      c.inverse_simd_calls.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -61,6 +70,11 @@ KernelCounters KernelCountersDelta(const KernelCounters& before,
   out.elem_bytes = after.elem_bytes - before.elem_bytes;
   out.elem_calls = after.elem_calls - before.elem_calls;
   out.elem_simd_calls = after.elem_simd_calls - before.elem_simd_calls;
+  out.inverse_flops = after.inverse_flops - before.inverse_flops;
+  out.inverse_seconds = after.inverse_seconds - before.inverse_seconds;
+  out.inverse_calls = after.inverse_calls - before.inverse_calls;
+  out.inverse_simd_calls =
+      after.inverse_simd_calls - before.inverse_simd_calls;
   return out;
 }
 
@@ -81,6 +95,14 @@ void AddElem(double flops, double bytes, bool simd) {
   AtomicAdd(c.elem_bytes, bytes);
   c.elem_calls.fetch_add(1, std::memory_order_relaxed);
   if (simd) c.elem_simd_calls.fetch_add(1, std::memory_order_relaxed);
+}
+
+void AddInverse(double flops, double seconds, bool simd) {
+  AtomicCounters& c = Counters();
+  AtomicAdd(c.inverse_flops, flops);
+  AtomicAdd(c.inverse_seconds, seconds);
+  c.inverse_calls.fetch_add(1, std::memory_order_relaxed);
+  if (simd) c.inverse_simd_calls.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace kernel_stats_internal

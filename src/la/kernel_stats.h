@@ -14,8 +14,10 @@ namespace matopt {
 /// flops.
 ///
 /// flop/byte/call tallies are shape-derived and identical on every kernel
-/// path (scalar or SIMD, any thread count); `gemm_seconds` is wall-clock
-/// and observability-only, like the BufferPool counters.
+/// path (scalar or SIMD, any thread count); `gemm_seconds` and
+/// `inverse_seconds` are wall-clock and observability-only, like the
+/// BufferPool counters. The GEMM tallies count caller GEMMs only: the
+/// trailing updates inside Inverse are part of its own tally.
 struct KernelCounters {
   double gemm_flops = 0.0;    // 2*m*k*n per GemmAccumulate
   double gemm_bytes = 0.0;    // A + B read, C read+written
@@ -26,6 +28,10 @@ struct KernelCounters {
   double elem_bytes = 0.0;
   int64_t elem_calls = 0;
   int64_t elem_simd_calls = 0;
+  double inverse_flops = 0.0;    // 2*n^3 per Inverse, the executor's charge
+  double inverse_seconds = 0.0;  // wall-clock inside Inverse
+  int64_t inverse_calls = 0;
+  int64_t inverse_simd_calls = 0;
 };
 
 /// Monotonic snapshot of the process-wide tallies.
@@ -39,6 +45,7 @@ KernelCounters KernelCountersDelta(const KernelCounters& before,
 namespace kernel_stats_internal {
 void AddGemm(double flops, double bytes, double seconds, bool simd);
 void AddElem(double flops, double bytes, bool simd);
+void AddInverse(double flops, double seconds, bool simd);
 }  // namespace kernel_stats_internal
 
 }  // namespace matopt

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "la/kernel_grain.h"
@@ -520,72 +522,181 @@ DenseMatrix ReluGradHadamard(const DenseMatrix& z, const DenseMatrix& upstream,
   return out;
 }
 
+namespace {
+
+/// Columns per LU panel: the unblocked partial-pivot loop factors one
+/// panel, then a single rank-kLuPanel GEMM applies it to the trailing
+/// block. A shape-only constant, like every grain.
+constexpr int64_t kLuPanel = 64;
+
+/// Factors panel columns [k0, k1) of `lu` in place with the unblocked
+/// right-looking loop: pivot search, full-row swap, multiplier divide and
+/// the rank-1 update, restricted to the panel's own columns (the columns
+/// right of it are brought up to date by UpdateTrailing). Row swaps commute
+/// with those pending updates, since a row carries its multipliers along.
+/// Returns false on an exact-zero pivot.
+bool FactorPanel(DenseMatrix* lu, std::vector<int64_t>* perm, int64_t k0,
+                 int64_t k1) {
+  const int64_t n = lu->rows();
+  for (int64_t k = k0; k < k1; ++k) {
+    int64_t pivot = k;
+    double best = std::abs((*lu)(k, k));
+    for (int64_t r = k + 1; r < n; ++r) {
+      if (std::abs((*lu)(r, k)) > best) {
+        best = std::abs((*lu)(r, k));
+        pivot = r;
+      }
+    }
+    if (best == 0.0) return false;
+    if (pivot != k) {
+      std::swap_ranges(lu->row(k), lu->row(k) + n, lu->row(pivot));
+      std::swap((*perm)[k], (*perm)[pivot]);
+    }
+    auto eliminate = [&](int64_t r0, int64_t r1) {
+      const double* pivot_row = lu->row(k);
+      for (int64_t r = r0; r < r1; ++r) {
+        double* row = lu->row(r);
+        row[k] /= pivot_row[k];
+        const double f = row[k];
+        if (f == 0.0) continue;
+        for (int64_t c = k + 1; c < k1; ++c) row[c] -= f * pivot_row[c];
+      }
+    };
+    const int64_t rows = n - k - 1;
+    const int64_t width = k1 - k;
+    if (rows * width < kParallelFlopThreshold) {
+      eliminate(k + 1, n);
+    } else {
+      ParallelFor(k + 1, n,
+                  std::max<int64_t>(8, kParallelFlopThreshold / (4 * width)),
+                  eliminate);
+    }
+  }
+  return true;
+}
+
+/// Applies the eliminations of factored panel [k0, k1) to every column
+/// right of it, in the unblocked loop's per-element order. The panel's
+/// own rows (U12) take the updates of the panel rows above them, row by
+/// row with ascending k. The trailing block takes A22 += (-L21) * U12
+/// through the blocked GEMM: with contraction off, c + (-l) * u rounds
+/// exactly like c - l * u, and the GEMM adds its k terms in ascending
+/// order. The one departure is an exact-zero multiplier, which the
+/// unblocked loop skips and the GEMM applies; for finite factors that
+/// adds a signed zero, which can only flip the sign of a zero entry. No
+/// later step can see that sign: pivoting compares magnitudes, a zero
+/// multiplier is skipped either way, and in the solves a zero factor
+/// entry only forms zero products, subtracted from accumulators that are
+/// never -0 (they start at +0 or 1 and only a -0 minus +0 yields -0).
+void UpdateTrailing(DenseMatrix* lu, int64_t k0, int64_t k1) {
+  const int64_t n = lu->rows();
+  const int64_t w = k1 - k0;
+  const int64_t rest = n - k1;
+  ParallelFor(k1, n, std::max(w, kParallelFlopThreshold / (w * w)),
+              [&](int64_t c0, int64_t c1) {
+                for (int64_t i = k0 + 1; i < k1; ++i) {
+                  double* row = lu->row(i);
+                  for (int64_t k = k0; k < i; ++k) {
+                    const double f = row[k];
+                    if (f == 0.0) continue;
+                    const double* pivot_row = lu->row(k);
+                    for (int64_t c = c0; c < c1; ++c) {
+                      row[c] -= f * pivot_row[c];
+                    }
+                  }
+                }
+              });
+
+  DenseMatrix neg_l21 = DenseMatrix::Pooled(rest, w);
+  DenseMatrix u12 = DenseMatrix::Pooled(w, rest);
+  for (int64_t r = 0; r < rest; ++r) {
+    const double* l = lu->row(k1 + r) + k0;
+    double* dst = neg_l21.row(r);
+    for (int64_t p = 0; p < w; ++p) dst[p] = -l[p];
+  }
+  for (int64_t p = 0; p < w; ++p) {
+    std::copy(lu->row(k0 + p) + k1, lu->row(k0 + p) + n, u12.row(p));
+  }
+  DenseBlockView a22 = lu->MutableBlock(k1, k1, rest, rest);
+  GemmAccumulateImpl(neg_l21, u12, &a22);
+  neg_l21.Recycle();
+  u12.Recycle();
+}
+
+/// Scalar twin of simdk::LuSolvePanel: the same per-element operation
+/// sequence, accumulated in a local row tile.
+void LuSolvePanelScalar(const double* lu, int64_t n, double* y) {
+  constexpr int64_t kW = simdk::kLuSolvePanel;
+  double t[kW];
+  for (int64_t i = 0; i < n; ++i) {
+    const double* l = lu + i * n;
+    std::copy(y + i * kW, y + (i + 1) * kW, t);
+    for (int64_t c = 0; c < i; ++c) {
+      const double* yc = y + c * kW;
+      for (int64_t j = 0; j < kW; ++j) t[j] -= l[c] * yc[j];
+    }
+    std::copy(t, t + kW, y + i * kW);
+  }
+  for (int64_t i = n - 1; i >= 0; --i) {
+    const double* u = lu + i * n;
+    std::copy(y + i * kW, y + (i + 1) * kW, t);
+    for (int64_t c = i + 1; c < n; ++c) {
+      const double* yc = y + c * kW;
+      for (int64_t j = 0; j < kW; ++j) t[j] -= u[c] * yc[j];
+    }
+    for (int64_t j = 0; j < kW; ++j) y[i * kW + j] = t[j] / u[i];
+  }
+}
+
+}  // namespace
+
 Result<DenseMatrix> Inverse(const DenseMatrix& a) {
   if (a.rows() != a.cols()) {
     return Status::InvalidArgument("Inverse requires a square matrix");
   }
+  Stopwatch sw;
   const int64_t n = a.rows();
   DenseMatrix lu = a;
   std::vector<int64_t> perm(n);
   for (int64_t i = 0; i < n; ++i) perm[i] = i;
 
-  // LU decomposition with partial pivoting, applied in place. The rank-1
-  // update below the pivot touches disjoint rows, so it partitions over
-  // the pool without changing any per-row accumulation order.
-  for (int64_t k = 0; k < n; ++k) {
-    int64_t pivot = k;
-    double best = std::abs(lu(k, k));
-    for (int64_t r = k + 1; r < n; ++r) {
-      if (std::abs(lu(r, k)) > best) {
-        best = std::abs(lu(r, k));
-        pivot = r;
-      }
-    }
-    if (best == 0.0) {
+  // Blocked right-looking LU with partial pivoting, in place.
+  for (int64_t k0 = 0; k0 < n; k0 += kLuPanel) {
+    const int64_t k1 = std::min(n, k0 + kLuPanel);
+    if (!FactorPanel(&lu, &perm, k0, k1)) {
       return Status::InvalidArgument("Inverse of a singular matrix");
     }
-    if (pivot != k) {
-      for (int64_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(pivot, c));
-      std::swap(perm[k], perm[pivot]);
-    }
-    auto eliminate = [&](int64_t r0, int64_t r1) {
-      const double* pivot_row = lu.row(k);
-      for (int64_t r = r0; r < r1; ++r) {
-        double* row = lu.row(r);
-        row[k] /= pivot_row[k];
-        double f = row[k];
-        if (f == 0.0) continue;
-        for (int64_t c = k + 1; c < n; ++c) row[c] -= f * pivot_row[c];
-      }
-    };
-    const int64_t tail = n - k - 1;
-    if (tail * (tail + 1) < kParallelFlopThreshold) {
-      eliminate(k + 1, n);
-    } else {
-      int64_t grain = std::max<int64_t>(
-          8, kParallelFlopThreshold / (4 * std::max<int64_t>(1, tail)));
-      ParallelFor(k + 1, n, grain, eliminate);
-    }
+    if (k1 < n) UpdateTrailing(&lu, k0, k1);
   }
 
-  // Solve LU x = P e_j for each unit vector; columns are independent.
+  // Solve LU X = P over independent kLuSolvePanel-column panels of P·I;
+  // columns past n in the last panel are zero padding.
+  constexpr int64_t kW = simdk::kLuSolvePanel;
+  const bool simd = SimdEnabled();
   DenseMatrix out = DenseMatrix::Pooled(n, n);
-  int64_t grain = std::max<int64_t>(
-      1, kParallelFlopThreshold / std::max<int64_t>(1, 2 * n * n));
-  ParallelFor(0, n, grain, [&](int64_t j0, int64_t j1) {
-    std::vector<double> y(n);
-    for (int64_t j = j0; j < j1; ++j) {
-      for (int64_t i = 0; i < n; ++i) y[i] = (perm[i] == j) ? 1.0 : 0.0;
-      for (int64_t i = 0; i < n; ++i) {       // forward substitution (L)
-        for (int64_t c = 0; c < i; ++c) y[i] -= lu(i, c) * y[c];
+  ParallelFor(0, (n + kW - 1) / kW, 1, [&](int64_t p0, int64_t p1) {
+    std::vector<double> y = BufferPool::Default().AcquireZeroed(n * kW);
+    for (int64_t p = p0; p < p1; ++p) {
+      const int64_t j0 = p * kW;
+      const int64_t w = std::min(kW, n - j0);
+      std::fill(y.begin(), y.end(), 0.0);
+      for (int64_t i = 0; i < n; ++i) {
+        if (perm[i] >= j0 && perm[i] < j0 + w) y[i * kW + perm[i] - j0] = 1.0;
       }
-      for (int64_t i = n - 1; i >= 0; --i) {  // back substitution (U)
-        for (int64_t c = i + 1; c < n; ++c) y[i] -= lu(i, c) * y[c];
-        y[i] /= lu(i, i);
+      if (simd) {
+        simdk::LuSolvePanel(lu.data(), n, y.data());
+      } else {
+        LuSolvePanelScalar(lu.data(), n, y.data());
       }
-      for (int64_t i = 0; i < n; ++i) out(i, j) = y[i];
+      for (int64_t i = 0; i < n; ++i) {
+        std::copy(y.data() + i * kW, y.data() + i * kW + w, out.row(i) + j0);
+      }
     }
+    BufferPool::Default().Release(std::move(y));
   });
+  const double dn = static_cast<double>(n);
+  kernel_stats_internal::AddInverse(2.0 * dn * dn * dn, sw.ElapsedSeconds(),
+                                    simd);
   return out;
 }
 

@@ -89,7 +89,13 @@ DenseMatrix ColSum(const DenseMatrix& a);
 /// out(r, c) = a(r, c) + vec(0, c); vec must be 1 x a.cols().
 DenseMatrix BroadcastRowAdd(const DenseMatrix& a, const DenseMatrix& vec);
 
-/// Inverse of a square matrix by LU decomposition with partial pivoting.
+/// Inverse of a square matrix by LU decomposition with partial pivoting:
+/// a blocked right-looking LU whose trailing updates run on the GEMM
+/// kernel, then triangular solves over column panels of P·I. Every output
+/// element sees the unblocked textbook algorithm's operation sequence, so
+/// whenever the factors stay finite the result is bit-identical to it
+/// (fuzz::ReferenceInverse) on every kernel path and thread count. Tallies KernelCounters' inverse_* fields
+/// (2n^3 flops); its internal GEMMs stay out of the gemm_* tallies.
 /// Fails with InvalidArgument when the matrix is singular or not square.
 Result<DenseMatrix> Inverse(const DenseMatrix& a);
 
@@ -97,12 +103,14 @@ Result<DenseMatrix> Inverse(const DenseMatrix& a);
 DenseMatrix Identity(int64_t n);
 
 /// Fault injection for the differential-fuzzing meta-test: when `delta` is
-/// non-zero, every GemmAccumulate (and therefore Gemm) perturbs element
-/// (0, 0) of its output by `delta` after the correct accumulation. The
-/// fuzz reference interpreter evaluates with its own independent kernels,
-/// so an injected fault surfaces as an execution-vs-reference mismatch
-/// that the harness must detect and shrink. Always 0.0 in production; the
-/// hot-path cost is one relaxed atomic load per GemmAccumulate call.
+/// non-zero, every caller's GemmAccumulate (and therefore Gemm) perturbs
+/// element (0, 0) of its output by `delta` after the correct accumulation;
+/// the trailing-update GEMMs inside Inverse are not perturbed. The fuzz
+/// reference interpreter evaluates with its own independent kernels,
+/// inverse included, so an injected fault surfaces as an
+/// execution-vs-reference mismatch that the harness must detect and
+/// shrink. Always 0.0 in production; the hot-path cost is one relaxed
+/// atomic load per GemmAccumulate call.
 void SetKernelFaultDelta(double delta);
 double KernelFaultDelta();
 

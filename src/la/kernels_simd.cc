@@ -214,6 +214,50 @@ void GemmAccumulateBlocked(const DenseMatrix& a, const DenseMatrix& b,
   pool.Release(std::move(bpack));
 }
 
+namespace {
+
+constexpr int kSolveLanes = static_cast<int>(kLuSolvePanel / 4);
+static_assert(kLuSolvePanel % 4 == 0, "a solve panel is whole ymm lanes");
+
+/// One row of a triangular solve: y(i, :) -= sum over c in [c0, c1) of
+/// coef[c] * y(c, :), ascending c with one multiply then one subtract per
+/// term, held in registers; then one divide by `*diag` when non-null.
+/// The unroll pragmas keep `t` in ymm registers: at -O2 GCC leaves these
+/// loops rolled and spills the tile, which doubled the solve time.
+inline void SolveRow(const double* coef, int64_t c0, int64_t c1,
+                     const double* diag, double* y, double* yi) {
+  __m256d t[kSolveLanes];
+#pragma GCC unroll 8
+  for (int q = 0; q < kSolveLanes; ++q) t[q] = _mm256_loadu_pd(yi + 4 * q);
+  const double* yc = y + c0 * kLuSolvePanel;
+  for (int64_t c = c0; c < c1; ++c, yc += kLuSolvePanel) {
+    const __m256d cv = _mm256_broadcast_sd(coef + c);
+#pragma GCC unroll 8
+    for (int q = 0; q < kSolveLanes; ++q) {
+      t[q] = _mm256_sub_pd(t[q],
+                           _mm256_mul_pd(cv, _mm256_loadu_pd(yc + 4 * q)));
+    }
+  }
+  if (diag != nullptr) {
+    const __m256d d = _mm256_broadcast_sd(diag);
+    for (int q = 0; q < kSolveLanes; ++q) t[q] = _mm256_div_pd(t[q], d);
+  }
+  for (int q = 0; q < kSolveLanes; ++q) _mm256_storeu_pd(yi + 4 * q, t[q]);
+}
+
+}  // namespace
+
+void LuSolvePanel(const double* lu, int64_t n, double* y) {
+  // Forward substitution with the unit-lower L: rows top-down.
+  for (int64_t i = 0; i < n; ++i) {
+    SolveRow(lu + i * n, 0, i, nullptr, y, y + i * kLuSolvePanel);
+  }
+  // Back substitution with U: rows bottom-up, each ending in the divide.
+  for (int64_t i = n - 1; i >= 0; --i) {
+    SolveRow(lu + i * n, i + 1, n, lu + i * n + i, y, y + i * kLuSolvePanel);
+  }
+}
+
 void ZipRange(ZipKind kind, const double* a, const double* b, double* o,
               int64_t count) {
   int64_t i = 0;
@@ -333,6 +377,8 @@ void GemmAccumulateBlocked(const DenseMatrix&, const DenseMatrix&, double*,
                            int64_t) {
   std::abort();
 }
+
+void LuSolvePanel(const double*, int64_t, double*) { std::abort(); }
 
 void ZipRange(ZipKind, const double*, const double*, double*, int64_t) {
   std::abort();

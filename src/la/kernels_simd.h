@@ -30,6 +30,20 @@ bool Compiled();
 void GemmAccumulateBlocked(const DenseMatrix& a, const DenseMatrix& b,
                            double* c, int64_t c_stride);
 
+/// Columns of P·I one triangular-solve panel of the LU inverse carries:
+/// four ymm lanes of accumulators per row.
+inline constexpr int64_t kLuSolvePanel = 16;
+
+/// Both triangular solves of the LU inverse over one column panel, in
+/// place. `y` is n x kLuSolvePanel row-major and holds columns of P·I on
+/// entry and the matching columns of the inverse on return; `lu` is the
+/// n x n factor (unit-lower L below the diagonal, U on and above). Each
+/// row subtracts its terms in ascending column order, one multiply then
+/// one subtract per term, and back-substitution rows end with one divide
+/// by u_ii — the per-column scalar solve's operation sequence, vectorized
+/// across the panel's independent columns.
+void LuSolvePanel(const double* lu, int64_t n, double* y);
+
 enum class ZipKind { kAdd, kSub, kMul, kDiv, kReluGrad };
 
 /// o[i] = op(a[i], b[i]) over [0, count). For kReluGrad, `a` is the

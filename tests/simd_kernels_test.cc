@@ -3,16 +3,23 @@
 // shape — edge tiles, strided outputs, special values — at any thread
 // count, and the grain policy and roofline counters must follow their
 // contracts. All SIMD-vs-scalar assertions self-skip on builds/CPUs
-// without the vectorized path (the A/B would be scalar vs scalar).
+// without the vectorized path (the A/B would be scalar vs scalar). The
+// blocked LU inverse is held to the textbook reference inverse instead,
+// so its tests run on every build.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "engine/exec_stats.h"
+#include "fuzz/reference.h"
 #include "la/dense_matrix.h"
 #include "la/kernel_grain.h"
 #include "la/kernel_stats.h"
@@ -235,6 +242,136 @@ TEST(KernelStatsTest, GemmTallyIsShapeDerived) {
   const KernelCounters d2 = KernelCountersDelta(b2, KernelCountersSnapshot());
   EXPECT_EQ(d2.elem_calls, 1);
   EXPECT_DOUBLE_EQ(d2.elem_flops, static_cast<double>(m * n));
+}
+
+/// Inputs for the inverse bit-identity tests. Triangular and sparse
+/// inputs get a diagonal of n so their inverses stay far from overflow.
+DenseMatrix InverseInput(const std::string& kind, int64_t n) {
+  DenseMatrix a = GaussianMatrix(n, n, 100 + n);
+  if (kind == "gaussian") return a;
+  if (kind == "identity") return Identity(n);
+  if (kind == "permutation") {
+    std::vector<int64_t> p(n);
+    for (int64_t i = 0; i < n; ++i) p[i] = i;
+    std::shuffle(p.begin(), p.end(), std::mt19937(static_cast<unsigned>(n)));
+    DenseMatrix m(n, n);
+    for (int64_t i = 0; i < n; ++i) m(i, p[i]) = 1.0;
+    return m;
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      const bool zero = kind == "upper"   ? j < i
+                        : kind == "lower" ? j > i
+                        : kind == "sparse" ? i != j && (i * 7 + j * 3) % 5 != 0
+                                           : false;
+      if (zero) a(i, j) = 0.0;
+    }
+    if (kind != "neg_zero") a(i, i) += static_cast<double>(n);
+  }
+  if (kind == "neg_zero") {
+    // Rows past the first panel with an all-zero panel-0 prefix get exact
+    // zero multipliers; the -0 entries right of the panel are what a dense
+    // trailing update would flip to +0.
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        if (i >= 64 && i % 3 == 1 && j < 64) a(i, j) = 0.0;
+        if ((i + j) % 4 == 0) a(i, j) = -0.0;
+      }
+    }
+  }
+  return a;
+}
+
+TEST(InverseTest, BitIdenticalToReferenceAtEveryPoolSizeAndPath) {
+  KnobGuard guard;
+  for (const char* kind : {"gaussian", "identity", "permutation", "upper",
+                           "lower", "sparse", "neg_zero"}) {
+    for (int64_t n : {1, 2, 15, 16, 17, 63, 64, 65, 100, 130, 257, 512}) {
+      const DenseMatrix a = InverseInput(kind, n);
+      const Result<DenseMatrix> ref = fuzz::ReferenceInverse(a);
+      for (int threads : {1, 2, 4, 7}) {
+        ThreadPool::SetDefaultThreads(threads);
+        for (bool simd : {false, true}) {
+          SCOPED_TRACE(std::string(kind) + " n=" + std::to_string(n) +
+                       " threads=" + std::to_string(threads) +
+                       " simd=" + std::to_string(simd));
+          OverrideSimdEnabled(simd);
+          const Result<DenseMatrix> got = Inverse(a);
+          ASSERT_EQ(got.ok(), ref.ok());
+          if (ref.ok()) {
+            EXPECT_TRUE(BitEq(got.value(), ref.value()));
+          } else {
+            EXPECT_EQ(got.status().ToString(), ref.status().ToString());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(InverseTest, ZeroPivotInALaterPanelIsSingular) {
+  KnobGuard guard;
+  // A = L * U with dyadic entries, so elimination is exact: |l| <= 1/2
+  // keeps every pivot on the diagonal, and u(70, 70) = 0 makes column 70
+  // a combination of columns 0..69 whose pivot comes out exactly zero in
+  // the second 64-column panel.
+  const int64_t n = 100;
+  auto build = [&](double u70) {
+    DenseMatrix l(n, n), u(n, n);
+    for (int64_t i = 0; i < n; ++i) {
+      l(i, i) = 1.0;
+      u(i, i) = i == 70 ? u70 : 4.0;
+      for (int64_t j = 0; j < i; ++j) l(i, j) = ((i * 5 + j) % 5 - 2) * 0.25;
+      for (int64_t j = i + 1; j < n; ++j) u(i, j) = (i + 2 * j) % 7 - 3.0;
+    }
+    return Gemm(l, u);
+  };
+  const DenseMatrix singular = build(0.0);
+  const DenseMatrix regular = build(4.0);
+  for (int threads : {1, 4}) {
+    ThreadPool::SetDefaultThreads(threads);
+    for (bool simd : {false, true}) {
+      OverrideSimdEnabled(simd);
+      const Result<DenseMatrix> inv = Inverse(singular);
+      ASSERT_FALSE(inv.ok());
+      EXPECT_EQ(inv.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(inv.status().message(), "Inverse of a singular matrix");
+      EXPECT_FALSE(fuzz::ReferenceInverse(singular).ok());
+      EXPECT_TRUE(BitEq(Inverse(regular).value(),
+                        fuzz::ReferenceInverse(regular).value()));
+    }
+  }
+}
+
+TEST(InverseTest, InternalGemmsAreNotFaultInjected) {
+  const DenseMatrix a = GaussianMatrix(130, 130, 31);
+  const DenseMatrix ref = fuzz::ReferenceInverse(a).value();
+  SetKernelFaultDelta(0.25);
+  const Result<DenseMatrix> inv = Inverse(a);
+  SetKernelFaultDelta(0.0);
+  EXPECT_TRUE(BitEq(inv.value(), ref));
+}
+
+TEST(KernelStatsTest, InverseTallyIsItsOwn) {
+  KnobGuard guard;
+  const int64_t n = 512;
+  const DenseMatrix a = GaussianMatrix(n, n, 32);
+  const bool simd = SimdEnabled();
+  const KernelCounters before = KernelCountersSnapshot();
+  ASSERT_TRUE(Inverse(a).ok());
+  const KernelCounters delta =
+      KernelCountersDelta(before, KernelCountersSnapshot());
+  EXPECT_EQ(delta.inverse_calls, 1);
+  EXPECT_EQ(delta.inverse_simd_calls, simd ? 1 : 0);
+  EXPECT_DOUBLE_EQ(delta.inverse_flops, 2.0 * n * n * n);
+  EXPECT_GT(delta.inverse_seconds, 0.0);
+  // The trailing-update GEMMs are the inverse's work, not caller GEMMs.
+  EXPECT_EQ(delta.gemm_calls, 0);
+  EXPECT_EQ(delta.gemm_flops, 0.0);
+
+  ExecStats stats;
+  stats.kernels = delta;
+  EXPECT_NE(stats.RooflineString().find("  inverse: "), std::string::npos);
 }
 
 TEST(SimdControlTest, OverrideWinsOverDefault) {
